@@ -43,11 +43,9 @@ import numpy as np
 
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
-    COLUMNAR_KIND,
     PRIME_KIND,
     PRIMING_SEED_OFFSET,
     TRACE_KIND,
-    columnar_key,
     prime_key,
     trace_key,
 )
@@ -109,46 +107,6 @@ class _TraceData:
         return self.code_lines[self.code_starts[index]:self.code_starts[index + 1]]
 
 
-class _ColumnarBundle:
-    """Derived columnar artifacts of one run.
-
-    ``universe`` is the sorted distinct lines across every context's
-    stream; ``data_keys``/``code_keys`` hold each context's dense
-    access-key translation of its flattened reference arrays.  All of
-    it is a pure function of the materialized traces, so warm runs can
-    load it instead of redoing the ``unique``/``searchsorted`` work —
-    which dominates columnar engine construction.
-    """
-
-    __slots__ = ("budget", "universe", "data_keys", "code_keys")
-
-    def __init__(
-        self,
-        budget: int,
-        universe: np.ndarray,
-        data_keys: List[np.ndarray],
-        code_keys: List[Optional[np.ndarray]],
-    ):
-        self.budget = budget
-        self.universe = universe
-        self.data_keys = data_keys
-        self.code_keys = code_keys
-
-    def matches(self, datas: List["_TraceData"], budget: int) -> bool:
-        """True when this bundle was derived from exactly ``datas``."""
-        if self.budget != budget or len(self.data_keys) != len(datas):
-            return False
-        for index, data in enumerate(datas):
-            if self.data_keys[index].shape != data.data_lines.shape:
-                return False
-            code = self.code_keys[index]
-            if (code is None) != (data.code_lines is None):
-                return False
-            if code is not None and code.shape != data.code_lines.shape:
-                return False
-        return True
-
-
 class _ReplayTrace:
     """Duck-types :class:`TraceGenerator` over a materialized entry.
 
@@ -188,63 +146,6 @@ class _ReplayTrace:
 
     def os_code_accesses(self, invocation: OSInvocation) -> np.ndarray:
         return self._data.code_at(self._index)
-
-
-class ColumnarReplayTrace(_ReplayTrace):
-    """A replay that also serves each event's precomputed dense keys.
-
-    The columnar engine translates a thread's whole flattened reference
-    stream into dense access keys once per run (``searchsorted`` against
-    the run's line universe); per event, the keys are then just the same
-    slice the data arrays use, tracked by the shared event cursor.
-    """
-
-    __slots__ = ("_data_keys", "_code_keys")
-
-    def __init__(
-        self,
-        data: _TraceData,
-        data_keys: np.ndarray,
-        code_keys: Optional[np.ndarray],
-    ):
-        super().__init__(data)
-        self._data_keys = data_keys
-        self._code_keys = code_keys
-
-    def data_keys(self) -> np.ndarray:
-        starts = self._data.data_starts
-        return self._data_keys[starts[self._index]:starts[self._index + 1]]
-
-    def code_keys(self) -> np.ndarray:
-        starts = self._data.code_starts
-        assert starts is not None and self._code_keys is not None
-        return self._code_keys[starts[self._index]:starts[self._index + 1]]
-
-
-def materialize_trace_data(
-    spec: WorkloadSpec,
-    config: SimulatorConfig,
-    thread_id: int,
-    instruction_budget: int,
-) -> _TraceData:
-    """Record one thread's stream in memory, without a trace store.
-
-    The columnar engine always runs from materialized traces (it needs
-    the whole stream up front to build its line universe); when the
-    simulation has no :class:`TraceStore`, this records the same entry
-    the store would, minus persistence.  Replay is bit-identical to
-    live generation because the recorder consumes the generator exactly
-    as the engine would.
-    """
-    payload = TraceStore._payload(config)
-    return _materialize_trace(
-        spec,
-        ScaleProfile(**payload["profile"]),
-        payload["seed"],
-        thread_id,
-        instruction_budget,
-        icache=bool(payload["enable_icache"]),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -505,110 +406,14 @@ class TraceStore:
         os.makedirs(self.directory, exist_ok=True)
         self.max_entries = max(1, max_entries)
         self._lru: "OrderedDict[str, _TraceData]" = OrderedDict()
-        self._bundles: "OrderedDict[str, _ColumnarBundle]" = OrderedDict()
         self.counters: Dict[str, int] = {
             "trace_hits": 0,
             "trace_misses": 0,
-            "columnar_hits": 0,
-            "columnar_misses": 0,
             "bytes_read": 0,
             "bytes_written": 0,
         }
 
     # -- public API ----------------------------------------------------
-
-    def trace_data(
-        self,
-        spec: WorkloadSpec,
-        config: SimulatorConfig,
-        thread_id: int,
-        instruction_budget: int,
-    ) -> _TraceData:
-        """The materialized entry for one engine context (record on miss).
-
-        Unlike :meth:`trace_source` this raises when the cache is
-        unusable; callers that need the raw arrays (the columnar
-        engine's universe build) fall back to
-        :func:`materialize_trace_data` themselves.
-        """
-        payload = self._payload(config)
-        profile = ScaleProfile(**payload["profile"])
-        seed = payload["seed"]
-        key = trace_key(spec, payload, thread_id)
-        data = self._lookup(key, TRACE_KIND)
-        if data is not None and data.budget != instruction_budget:
-            data = None  # profile drift; rematerialize under this budget
-        if data is None:
-            data = _materialize_trace(
-                spec, profile, seed, thread_id, instruction_budget,
-                icache=bool(payload["enable_icache"]),
-            )
-            self.counters["trace_misses"] += 1
-            self._remember(key, data)
-            self._save(key, data)
-        else:
-            self.counters["trace_hits"] += 1
-        return data
-
-    def columnar_bundle(
-        self,
-        spec: WorkloadSpec,
-        config: SimulatorConfig,
-        datas: List[_TraceData],
-        instruction_budget: int,
-    ) -> _ColumnarBundle:
-        """The run's line universe + per-context dense key streams.
-
-        ``datas`` are the per-context materialized traces the caller
-        already holds (one per user core, engine order).  On a miss the
-        bundle is derived from them — ``build_universe`` over every
-        stream, then one ``translate_keys`` pass per array — and
-        persisted; warm runs load the arrays instead, which removes the
-        dominant cost of columnar engine construction.  A stale or
-        corrupt entry (budget or shape drift against ``datas``) is
-        silently rederived, so the returned bundle always matches the
-        traces bit for bit.
-        """
-        from repro.memory.columnar import build_universe, translate_keys
-
-        payload = self._payload(config)
-        key = columnar_key(spec, payload)
-        bundle = self._bundles.get(key)
-        if bundle is not None:
-            self._bundles.move_to_end(key)
-        else:
-            bundle = self._load_bundle(key)
-        if bundle is not None and not bundle.matches(datas, instruction_budget):
-            bundle = None  # trace identity drifted; rederive
-        if bundle is None:
-            streams = [data.data_lines for data in datas]
-            streams.extend(
-                data.code_lines
-                for data in datas
-                if data.code_lines is not None
-            )
-            universe = build_universe(streams)
-            bundle = _ColumnarBundle(
-                budget=instruction_budget,
-                universe=universe,
-                data_keys=[
-                    translate_keys(universe, data.data_lines, data.data_writes)
-                    for data in datas
-                ],
-                code_keys=[
-                    translate_keys(universe, data.code_lines)
-                    if data.code_lines is not None
-                    else None
-                    for data in datas
-                ],
-            )
-            self.counters["columnar_misses"] += 1
-            self._remember_bundle(key, bundle)
-            self._save_bundle(key, bundle)
-        else:
-            self.counters["columnar_hits"] += 1
-            self._remember_bundle(key, bundle)
-        return bundle
 
     def trace_source(
         self,
@@ -628,9 +433,21 @@ class TraceStore:
         profile = ScaleProfile(**payload["profile"])
         seed = payload["seed"]
         try:
-            return _ReplayTrace(
-                self.trace_data(spec, config, thread_id, instruction_budget)
-            )
+            key = trace_key(spec, payload, thread_id)
+            data = self._lookup(key, TRACE_KIND)
+            if data is not None and data.budget != instruction_budget:
+                data = None  # profile drift; rematerialize under this budget
+            if data is None:
+                data = _materialize_trace(
+                    spec, profile, seed, thread_id, instruction_budget,
+                    icache=bool(payload["enable_icache"]),
+                )
+                self.counters["trace_misses"] += 1
+                self._remember(key, data)
+                self._save(key, data)
+            else:
+                self.counters["trace_hits"] += 1
+            return _ReplayTrace(data)
         except Exception as error:
             logger.warning(
                 "trace cache bypassed for %s thread %d: %r",
@@ -751,95 +568,6 @@ class TraceStore:
         except Exception as error:
             logger.warning(
                 "could not persist trace-cache entry %s: %r", key, error
-            )
-
-    def _remember_bundle(self, key: str, bundle: _ColumnarBundle) -> None:
-        self._bundles[key] = bundle
-        self._bundles.move_to_end(key)
-        while len(self._bundles) > self.max_entries:
-            self._bundles.popitem(last=False)
-
-    def _load_bundle(self, key: str) -> Optional[_ColumnarBundle]:
-        manifest_path, npz_path = self._paths(key)
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as error:
-            logger.warning(
-                "ignoring unreadable columnar-bundle manifest %s: %r",
-                manifest_path, error,
-            )
-            return None
-        try:
-            _require(
-                manifest.get("schema") == CACHE_SCHEMA_VERSION,
-                f"schema {manifest.get('schema')!r} != {CACHE_SCHEMA_VERSION}",
-            )
-            _require(
-                manifest.get("kind") == COLUMNAR_KIND,
-                f"kind {manifest.get('kind')!r} != {COLUMNAR_KIND!r}",
-            )
-            cores = int(manifest["cores"])
-            size = os.path.getsize(npz_path)
-            with open(npz_path, "rb") as handle:
-                with np.load(handle) as archive:
-                    universe = archive["universe"]
-                    data_keys = [
-                        archive[f"data_keys_{i}"] for i in range(cores)
-                    ]
-                    code_keys = [
-                        archive[f"code_keys_{i}"]
-                        if f"code_keys_{i}" in archive.files
-                        else None
-                        for i in range(cores)
-                    ]
-            _require(universe.dtype == np.int64, "universe dtype mismatch")
-            for array in data_keys:
-                _require(array.dtype == np.int64, "key dtype mismatch")
-        except Exception as error:
-            logger.warning(
-                "ignoring corrupt columnar-bundle entry %s: %r; rederiving",
-                key, error,
-            )
-            return None
-        self.counters["bytes_read"] += size
-        return _ColumnarBundle(
-            budget=int(manifest["budget"]),
-            universe=universe,
-            data_keys=data_keys,
-            code_keys=code_keys,
-        )
-
-    def _save_bundle(self, key: str, bundle: _ColumnarBundle) -> None:
-        """Persist atomically; persistence failures degrade, never raise."""
-        manifest_path, npz_path = self._paths(key)
-        try:
-            arrays: Dict[str, np.ndarray] = {"universe": bundle.universe}
-            for index, keys in enumerate(bundle.data_keys):
-                arrays[f"data_keys_{index}"] = keys
-            for index, keys in enumerate(bundle.code_keys):
-                if keys is not None:
-                    arrays[f"code_keys_{index}"] = keys
-            manifest = {
-                "schema": CACHE_SCHEMA_VERSION,
-                "kind": COLUMNAR_KIND,
-                "budget": bundle.budget,
-                "cores": len(bundle.data_keys),
-            }
-            self._replace_into(
-                npz_path, lambda handle: np.savez(handle, **arrays), "wb"
-            )
-            self._replace_into(
-                manifest_path, lambda handle: json.dump(manifest, handle), "w"
-            )
-            self.counters["bytes_written"] += (
-                os.path.getsize(npz_path) + os.path.getsize(manifest_path)
-            )
-        except Exception as error:
-            logger.warning(
-                "could not persist columnar-bundle entry %s: %r", key, error
             )
 
     def _replace_into(self, path: str, write, mode: str) -> None:

@@ -1,7 +1,7 @@
 """Scratch-escape analysis: reusable kernel buffers must stay put.
 
-``repro/memory/columnar.py`` keeps module-level numpy scratch buffers
-(``_IOTA``/``_TICKS``) that are grown geometrically and reused across
+An array kernel may keep module-level numpy scratch buffers (say
+``_IOTA``/``_TICKS``) that are grown geometrically and reused across
 kernel invocations: every caller receives views over the *same* memory.
 That is only aliasing-safe while the views are consumed before the next
 probe — i.e. while no reference outlives the kernel call.  This module

@@ -26,11 +26,10 @@ added to the stats model is covered without touching the linter.
 
 Cross-class reach: the hierarchy delegates some counter bumps to helper
 objects it owns (``self.directory.lookup()`` bumps
-``directory_lookups`` inside ``Directory``; the vectorized miss kernel
-folds the same bump through ``Directory.record_cold_fills``).  The
-closure therefore also follows ``self.<attr>.<method>(...)`` calls for
-the attributes named in ``_HELPER_ATTRS``, resolving the helper class's
-AST from the project and walking *its* intra-class call graph.  Without
+``directory_lookups`` inside ``Directory``).  The closure therefore
+also follows ``self.<attr>.<method>(...)`` calls for the attributes
+named in ``_HELPER_ATTRS``, resolving the helper class's AST from the
+project and walking *its* intra-class call graph.  Without
 this, a counter moved behind a helper would silently leave both
 closures and the rule would stop guarding it.
 """
@@ -44,15 +43,11 @@ from repro.lint.core import ModuleSource, Project, Rule, Violation, register
 
 __all__ = ["EngineCounterParityRule"]
 
-#: (scalar entry point, batch entry point) pairs whose reachable
-#: counter mutations must match.  Every batch-engine variant is paired
-#: against the scalar reference, so a counter dropped from only one
-#: engine's mutation paths (batched *or* columnar) fails lint.
+#: (scalar entry point, batched entry point) pairs whose reachable
+#: counter mutations must match.
 _PARITY_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("access", "access_batch"),
     ("access_code", "access_code_batch"),
-    ("access", "access_batch_columnar"),
-    ("access_code", "access_code_batch_columnar"),
 )
 
 _STATS_SUFFIX = ("sim", "stats.py")
@@ -63,7 +58,6 @@ _STATS_SUFFIX = ("sim", "stats.py")
 #: are followed into the named class's intra-class call graph.
 _HELPER_ATTRS: Dict[str, Tuple[Tuple[str, ...], str]] = {
     "directory": (("memory", "mesi.py"), "Directory"),
-    "dram": (("memory", "dram.py"), "MainMemory"),
 }
 
 

@@ -168,12 +168,10 @@ class Cache:
     def lru_snapshot(self) -> List[List[Tuple[int, int]]]:
         """Per-set ``[(line, state), ...]`` lists in LRU→MRU order.
 
-        A representation-independent view of the replacement state:
-        :class:`~repro.memory.columnar.ColumnarCache` reconstructs the
-        same lists from its stamp arrays, so the engine matrix can
-        assert *order* equality across engines — a stronger check than
-        residency, because two caches that agree here will also agree
-        on every future victim.
+        The engine matrix compares these lists between the scalar and
+        batched runs of a cell: *order* equality is a stronger check
+        than residency, because two caches that agree here will also
+        agree on every future victim.
         """
         return [list(cache_set.items()) for cache_set in self._sets]
 

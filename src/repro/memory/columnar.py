@@ -1,438 +1,11 @@
-"""Columnar L1 cache state for the ``engine="columnar"`` memory engine.
-
-The batched engine (PR 3) retires a pure-hit batch with one Python dict
-operation per *distinct* access key; its floor is therefore the cost of
-boxing every reference into a Python int and hashing it.  The columnar
-engine removes that floor: per-line cache state lives in flat numpy
-arrays indexed by *dense access keys*, so a whole reference stream is
-probed with one gather and committed with one scatter — no per-reference
-Python objects at all.
-
-Dense keys
-----------
-Before a run starts, the engine materializes every reference stream it
-will replay (the same materialization the trace cache performs — replay
-is already proven bit-identical to live generation) and builds the run's
-*line universe*: the sorted array of distinct line numbers across all
-threads' user, OS and code streams.  A reference ``(line, is_write)``
-then maps to the dense key ``(index_of(line) << 1) | is_write`` — the
-dense analogue of the batched engine's ``(line << 1) | is_write`` fast-
-map key — and each event's key array is a precomputed slice of one flat
-per-thread array, so translation costs nothing per event.
-
-:class:`ColumnarCache` mirrors :class:`~repro.memory.cache.Cache`'s
-exact observable behaviour (state transitions, LRU order, victim
-choice, statistics) over three structures:
-
-- ``slot_of_key`` — ``int64[2 * universe]``: ``slot + 1`` when the key
-  is *fast* (read key: line resident; write key: resident and
-  MODIFIED), ``0`` otherwise.  The vector probe is one gather through
-  this array; its non-zero entries are, by construction, exactly the
-  references the scalar path completes with zero stall cycles and no
-  state change beyond an LRU touch.
-- ``stamp`` — ``int64[num_sets * associativity + 1]``: a strictly
-  monotone LRU clock per occupied way, biased by one: way ``w`` lives
-  at index ``w + 1`` and index ``0`` is a write-only trash slot.  The
-  bias lets the pure-hit kernel scatter the gathered ``slot + 1``
-  values straight into the stamps without rebasing them (no ``- 1``
-  temporary per batch).  A touch writes the next clock value; the
-  eviction victim is the occupied way with the minimum stamp.  Stamp
-  order equals the ``OrderedDict`` order of the scalar cache because
-  both record the same touch sequence.
-- ``fastidx`` — ``{key: slot}`` dict maintained in lock-step with
-  ``slot_of_key`` for the per-reference slow loop (misses and
-  non-MODIFIED writes), which reuses the hierarchy's shared scalar
-  helpers so protocol behaviour cannot drift between engines.
-
-A batch whose keys are all fast commits as ``stamp[slots] = arange``:
-numpy fancy assignment is last-write-wins on duplicate indices, so the
-final per-line stamp is its *last occurrence* in the batch — exactly
-the final ``OrderedDict`` order the scalar fold would produce (the
-intermediate orders are unobservable in a fill-free batch).
-
-Compiled backend
-----------------
-:func:`probe_commit` is the pure-hit kernel.  When :mod:`numba` is
-importable (and ``REPRO_COLUMNAR_JIT`` is not ``0``) it is JIT-compiled
-to a fused loop; otherwise the pure-numpy implementation runs.  The two
-are semantically identical (probe everything first, commit only on an
-all-hit batch, last write wins), so the backend choice can never change
-results — only speed.  :func:`columnar_backend` reports which one is
-active.
-"""
+"""Array-engine backend name, as recorded in benchmark environments."""
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
-
-from repro.memory.cache import Cache, INVALID, MODIFIED
-from repro.sim.config import CacheConfig
-from repro.sim.stats import CacheStats
-
-__all__ = [
-    "ColumnarCache",
-    "build_universe",
-    "columnar_backend",
-    "probe_commit",
-    "translate_keys",
-]
+__all__ = ["columnar_backend"]
 
 
-def build_universe(streams: List[np.ndarray]) -> np.ndarray:
-    """Sorted distinct line numbers across every stream of a run."""
-    parts = [s for s in streams if s is not None and s.size]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
-
-
-def translate_keys(
-    universe: np.ndarray,
-    lines: np.ndarray,
-    writes: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Dense access keys for ``lines`` (which must all be in ``universe``)."""
-    ids = np.searchsorted(universe, lines)
-    keys = ids << 1
-    if writes is not None:
-        keys = keys | writes
-    return keys
-
-
-# ----------------------------------------------------------------------
-# the pure-hit kernel (numpy reference + optional numba backend)
-# ----------------------------------------------------------------------
-
-# Tick scratch of the numpy kernel, grown geometrically and reused
-# across calls: materializing a fresh ``arange`` per batch costs more
-# than the gather itself, while ``iota[:n] + clock`` into a reused
-# output buffer streams at memory bandwidth.  The simulator is
-# single-threaded per process (the runner parallelises with worker
-# *processes*), and the view handed out is consumed before the next
-# probe can regrow the buffers.
-_IOTA = np.empty(0, dtype=np.int64)
-_TICKS = np.empty(0, dtype=np.int64)
-
-
-def _scratch(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    global _IOTA, _TICKS
-    if _IOTA.size < n:
-        size = max(n, 2 * _IOTA.size, 1024)
-        _IOTA = np.arange(size, dtype=np.int64)
-        _TICKS = np.empty(size, dtype=np.int64)
-    return _IOTA, _TICKS
-
-
-def _probe_commit_numpy(
-    slot_of_key: np.ndarray,
-    keys: np.ndarray,
-    stamp: np.ndarray,
-    clock: int,
-) -> int:
-    """Commit a batch iff every key is fast; return the new clock or -1.
-
-    ``-1`` means at least one reference needs the slow path; the batch
-    is left untouched (no stamps written) so the caller's per-reference
-    loop replays it from scratch, exactly like the batched engine's
-    failed optimistic probe.
-    """
-    n = keys.size
-    iota, ticks_buf = _scratch(n)
-    slots = slot_of_key[keys]
-    if not slots.all():
-        return -1
-    stamp[slots] = np.add(iota[:n], clock, out=ticks_buf[:n])
-    return clock + n
-
-
-_BACKEND = "numpy"
-probe_commit = _probe_commit_numpy
-
-if os.environ.get("REPRO_COLUMNAR_JIT", "1") != "0":  # pragma: no cover
-    try:
-        import numba  # noqa: F401  (optional, absent from CI images)
-
-        @numba.njit(cache=False)
-        def _probe_commit_jit(slot_of_key, keys, stamp, clock):  # type: ignore[no-redef]
-            n = keys.size
-            for i in range(n):
-                if slot_of_key[keys[i]] == 0:
-                    return -1
-            for i in range(n):
-                stamp[slot_of_key[keys[i]]] = clock + i
-            return clock + n
-
-        probe_commit = _probe_commit_jit
-        _BACKEND = "numba"
-    except Exception:
-        # Any import/compile failure degrades to the numpy kernel; the
-        # two backends are bit-identical so nothing downstream cares.
-        _BACKEND = "numpy"
-        probe_commit = _probe_commit_numpy
-
-
+# Kept only because perfbench/run.py records it; the next benchmark change can drop this module.
 def columnar_backend() -> str:
-    """``"numba"`` when the compiled kernel is active, else ``"numpy"``."""
-    return _BACKEND
-
-
-# ----------------------------------------------------------------------
-# the cache
-# ----------------------------------------------------------------------
-
-class ColumnarCache(Cache):
-    """A :class:`Cache` whose state lives in flat arrays over dense keys.
-
-    Behaviourally identical to the base class — same states, same LRU
-    order, same victims, same statistics — which the differential
-    suites (``tests/test_columnar_cache.py``, the engine matrix, the
-    Hypothesis folds) enforce operation by operation.  Every cache of
-    a columnar hierarchy uses this class: the L1/L1I arrays back the
-    per-batch fast-path probe, and the L2 arrays give the vectorized
-    miss kernel array-level group probes and scatter commits over the
-    same dense key space.
-    """
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        stats: Optional[CacheStats],
-        universe: np.ndarray,
-        line_to_id: Dict[int, int],
-    ):
-        super().__init__(config, stats)
-        self._universe = universe
-        self._line_to_id = line_to_id
-        slots = self.num_sets * self.associativity
-        #: key -> slot + 1 for the vector probe; 0 = not fast.
-        self.slot_of_key = np.zeros(2 * len(universe), dtype=np.int64)
-        #: strictly monotone LRU clock per way (``0`` while the way is
-        #: empty — the clock starts at 1 — so the miss-path kernel's
-        #: victim scan sees emptiness without consulting ``slot_line``),
-        #: biased by one: way ``w`` is ``stamp[w + 1]``; ``stamp[0]`` is
-        #: a trash slot the pure-hit kernel scatters through so the
-        #: gathered ``slot + 1`` values index it directly.
-        self.stamp = np.zeros(slots + 1, dtype=np.int64)
-        self.clock = 1
-        #: key -> slot mirror of ``slot_of_key`` for the slow loop.
-        self.fastidx: Dict[int, int] = {}
-        #: keys that *stopped* being fast since the walk last drained
-        #: this log (evictions, invalidations, M->S downgrades).  The
-        #: segmented walk uses it to repair its batch-start probe
-        #: without re-gathering, so a batch costs O(slow references),
-        #: not O(n x misses).
-        self.retired: List[int] = []
-        # Per-slot occupancy as flat arrays so the vectorized miss-path
-        # kernel (:mod:`repro.memory.miss_path`) can gather victim
-        # lines/states/keys and scatter a whole fill group at once.
-        self.slot_line = np.full(slots, -1, dtype=np.int64)
-        self.slot_state = np.full(slots, INVALID, dtype=np.int64)
-        self.slot_key = np.zeros(slots, dtype=np.int64)
-        # Scalar-op mirrors of the arrays above.  A memoryview indexes
-        # straight into the same buffer but yields/accepts plain Python
-        # ints, which makes the per-reference reads and writes on the
-        # slow path measurably cheaper than boxing numpy scalars.
-        self._stamp_mv = memoryview(self.stamp)
-        self._sok_mv = memoryview(self.slot_of_key)
-        self._slot_line = memoryview(self.slot_line)
-        self._slot_state = memoryview(self.slot_state)
-        self._slot_key = memoryview(self.slot_key)
-
-    # -- key plumbing ---------------------------------------------------
-
-    def translate(
-        self, lines: np.ndarray, writes: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Dense keys for a reference stream (test/fallback path)."""
-        return translate_keys(self._universe, lines, writes)
-
-    @property
-    def fast_map(self):
-        raise TypeError(
-            "ColumnarCache has no dict fast map; the batched engine "
-            "must not run on a columnar hierarchy"
-        )
-
-    # -- scalar operations (Cache API) ---------------------------------
-
-    def lookup(self, line: int, update_lru: bool = True) -> int:
-        lid = self._line_to_id.get(line)
-        slot = self.fastidx.get(lid << 1) if lid is not None else None
-        if slot is None:
-            self.stats.misses += 1
-            return INVALID
-        self.stats.hits += 1
-        if update_lru:
-            self._stamp_mv[slot + 1] = self.clock
-            self.clock += 1
-        return self._slot_state[slot]
-
-    def peek(self, line: int) -> int:
-        lid = self._line_to_id.get(line)
-        slot = self.fastidx.get(lid << 1) if lid is not None else None
-        return INVALID if slot is None else self._slot_state[slot]
-
-    def fill(self, line: int, state: int) -> Tuple[int, int]:
-        key = self._line_to_id[line] << 1
-        fastidx = self.fastidx
-        sok = self._sok_mv
-        stamp = self._stamp_mv
-        slot = fastidx.get(key)
-        if slot is not None:
-            self._slot_state[slot] = state
-            stamp[slot + 1] = self.clock
-            self.clock += 1
-            if state == MODIFIED:
-                fastidx[key | 1] = slot
-                sok[key | 1] = slot + 1
-            elif fastidx.pop(key | 1, None) is not None:
-                sok[key | 1] = 0
-                self.retired.append(key | 1)
-            return -1, INVALID
-        base = (line % self.num_sets) * self.associativity
-        slot_line = self._slot_line
-        victim_line, victim_state = -1, INVALID
-        slot = -1
-        victim_stamp = None
-        for way in range(base, base + self.associativity):
-            if slot_line[way] < 0:
-                slot = way
-                break
-            way_stamp = stamp[way + 1]
-            if victim_stamp is None or way_stamp < victim_stamp:
-                victim_stamp = way_stamp
-                slot = way
-        else:
-            victim_line = slot_line[slot]
-            victim_state = self._slot_state[slot]
-            victim_key = self._slot_key[slot]
-            del fastidx[victim_key]
-            sok[victim_key] = 0
-            self.retired.append(victim_key)
-            if fastidx.pop(victim_key | 1, None) is not None:
-                sok[victim_key | 1] = 0
-                self.retired.append(victim_key | 1)
-        slot_line[slot] = line
-        self._slot_state[slot] = state
-        self._slot_key[slot] = key
-        stamp[slot + 1] = self.clock
-        self.clock += 1
-        fastidx[key] = slot
-        sok[key] = slot + 1
-        if state == MODIFIED:
-            fastidx[key | 1] = slot
-            sok[key | 1] = slot + 1
-        return victim_line, victim_state
-
-    def invalidate(self, line: int) -> int:
-        lid = self._line_to_id.get(line)
-        if lid is None:
-            return INVALID
-        key = lid << 1
-        slot = self.fastidx.pop(key, None)
-        if slot is None:
-            return INVALID
-        self._sok_mv[key] = 0
-        self.retired.append(key)
-        if self.fastidx.pop(key | 1, None) is not None:
-            self._sok_mv[key | 1] = 0
-            self.retired.append(key | 1)
-        self._slot_line[slot] = -1
-        # Zero the stamp so "empty way" is visible to the miss-path
-        # kernel's array scan (occupied stamps are always >= 1: the
-        # clock starts at 1 and only moves forward).
-        self._stamp_mv[slot + 1] = 0
-        return self._slot_state[slot]
-
-    def set_state(self, line: int, state: int) -> None:
-        lid = self._line_to_id.get(line)
-        slot = self.fastidx.get(lid << 1) if lid is not None else None
-        if slot is None:
-            return
-        key = lid << 1
-        self._slot_state[slot] = state
-        if state == MODIFIED:
-            self.fastidx[key | 1] = slot
-            self._sok_mv[key | 1] = slot + 1
-        elif self.fastidx.pop(key | 1, None) is not None:
-            self._sok_mv[key | 1] = 0
-            self.retired.append(key | 1)
-
-    def contains(self, line: int) -> bool:
-        lid = self._line_to_id.get(line)
-        return lid is not None and (lid << 1) in self.fastidx
-
-    def resident_lines(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(line, state)`` in the scalar cache's iteration order.
-
-        The base class yields per set front (LRU) to back (MRU); stamp
-        order reproduces that exactly, so differential suites can
-        compare the two representations list for list.
-        """
-        for cache_set in self.lru_snapshot():
-            yield from cache_set
-
-    def lru_snapshot(self) -> List[List[Tuple[int, int]]]:
-        """Per-set LRU→MRU lists, reconstructed from the stamp arrays."""
-        assoc = self.associativity
-        slot_line = self._slot_line
-        slot_state = self._slot_state
-        snapshot: List[List[Tuple[int, int]]] = []
-        for base in range(0, self.num_sets * assoc, assoc):
-            occupied = sorted(
-                (int(self.stamp[way + 1]), slot_line[way], slot_state[way])
-                for way in range(base, base + assoc)
-                if slot_line[way] >= 0
-            )
-            snapshot.append([(line, state) for _, line, state in occupied])
-        return snapshot
-
-    def occupancy(self) -> int:
-        return sum(1 for line in self._slot_line if line >= 0)
-
-    def check_fast_map(self) -> None:
-        """Verify every mirror: fastidx, slot_of_key, per-slot arrays."""
-        expected: Dict[int, int] = {}
-        stamps = []
-        for slot, line in enumerate(self._slot_line):
-            if line < 0:
-                assert self.stamp[slot + 1] == 0, (
-                    f"empty way {slot} carries stamp {self.stamp[slot + 1]}"
-                )
-                continue
-            key = self._line_to_id[line] << 1
-            assert self._slot_key[slot] == key, (
-                f"slot {slot} records key {self._slot_key[slot]}, "
-                f"expected {key} for line {line}"
-            )
-            expected[key] = slot
-            if self._slot_state[slot] == MODIFIED:
-                expected[key | 1] = slot
-            stamps.append(int(self.stamp[slot + 1]))
-        assert self.fastidx == expected, (
-            "columnar fast index diverged from residency: "
-            f"extra={set(self.fastidx) - set(expected)}, "
-            f"missing={set(expected) - set(self.fastidx)}"
-        )
-        dense = np.flatnonzero(self.slot_of_key)
-        assert set(dense.tolist()) == set(expected), (
-            "slot_of_key non-zero entries diverged from residency"
-        )
-        for key, slot in expected.items():
-            assert self.slot_of_key[key] == slot + 1, (
-                f"slot_of_key[{key}] = {self.slot_of_key[key]}, "
-                f"expected {slot + 1}"
-            )
-        assert len(stamps) == len(set(stamps)), "duplicate LRU stamps"
-
-    def flush(self) -> None:
-        self.slot_of_key[:] = 0
-        self.stamp[:] = 0
-        self.fastidx.clear()
-        del self.retired[:]
-        self.slot_line[:] = -1
-        self.slot_state[:] = INVALID
-        self.slot_key[:] = 0
+    """Always ``"numpy"``: there is no compiled backend."""
+    return "numpy"

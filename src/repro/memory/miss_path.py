@@ -1,233 +1,11 @@
-"""Vectorized miss-path kernel primitives for the columnar engine.
-
-PR 8 vectorized the L1 *fast path*; the span profiler then showed the
-residual dominated by the shared scalar miss path — L2 probes,
-directory lookups, MESI transitions and DRAM fills, concentrated in
-warm-up cold fills.  This module holds the array-level pieces the
-hierarchy's :meth:`~repro.memory.hierarchy.MemoryHierarchy
-._vector_miss_resolve` kernel composes to retire a whole batch's miss
-set at once:
-
-- :func:`group_slow_refs` partitions the slow references (the batch
-  positions whose access key missed the batch-start probe) into one
-  conflict-free group of *unique lines* in stable first-occurrence
-  order, folding each line's read/write references together — the same
-  optimistic-dedup discipline ``access_batch`` uses for its pure-hit
-  tier.
-- :func:`select_fill_slots` picks the L1 way every fill in the group
-  would receive under scalar replay: for the *k*-th fill landing in a
-  set, the way with the *k*-th smallest ``(batch-start stamp, way)``
-  pair.  Empty ways carry stamp ``0`` (the columnar cache zeroes
-  stamps on invalidation) and occupied stamps are ``>= 1`` and unique,
-  so this lexicographic rank reproduces the scalar cache's
-  first-empty-way-else-LRU-victim scan exactly — *provided* no chosen
-  victim's line is itself referenced in the batch, which the caller
-  checks before committing anything.
-- :func:`select_empty_slots` is the L2 variant: the kernel never lets
-  an L2 insert evict (evictions back-invalidate L1s and write back
-  dirty lines — scalar arbitration), so each fill must land in the
-  *k*-th **empty** way of its set, exactly the way the scalar
-  first-empty scan would hand out after the group's earlier inserts.
-  Returns ``None`` when any fill finds no empty way, i.e. when scalar
-  replay would have evicted.
-
-Both helpers are pure classification: they read cache state and return
-arrays; all mutation happens in the hierarchy's scatter commit, which
-either applies the whole group or backs off to the scalar walk with
-the caches untouched.
-
-Compiled backend
-----------------
-Way selection is the only per-fill loop; when :mod:`numba` is
-importable (and ``REPRO_COLUMNAR_JIT`` is not ``0``, the same switch
-that gates the fast-path kernel) it runs as a JIT-compiled rank scan,
-otherwise as a pure-numpy stable argsort.  The two are bit-identical —
-both order ways by ``(stamp, way)`` — so the backend can only change
-speed, never results.  :func:`miss_path_backend` reports which one is
-active.
-"""
+"""Miss-path backend name, as recorded in benchmark environments."""
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
-
-import numpy as np
-
-__all__ = [
-    "group_slow_refs",
-    "miss_path_backend",
-    "select_empty_slots",
-    "select_fill_slots",
-]
+__all__ = ["miss_path_backend"]
 
 
-def group_slow_refs(
-    slow_keys: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold a batch's slow access keys into one group of unique lines.
-
-    Returns ``(uniq_ids, first_idx, inverse, any_write)``:
-
-    - ``uniq_ids`` — sorted distinct dense line ids among the slow
-      references;
-    - ``first_idx`` — position (within the slow set) of each id's
-      first occurrence, so callers can recover stable
-      first-occurrence order with one stable argsort;
-    - ``inverse`` — per-slow-reference index into ``uniq_ids``;
-    - ``any_write`` — per-id flag: the batch writes this line at least
-      once, so its final MESI state is MODIFIED.
-    """
-    slow_ids = slow_keys >> 1
-    uniq_ids, first_idx, inverse = np.unique(
-        slow_ids, return_index=True, return_inverse=True
-    )
-    any_write = np.zeros(uniq_ids.size, dtype=bool)
-    written = np.flatnonzero(slow_keys & 1)
-    if written.size:
-        any_write[inverse[written]] = True
-    return uniq_ids, first_idx, inverse, any_write
-
-
-def _fill_ranks(set_idx: np.ndarray) -> np.ndarray:
-    """Per-fill rank among the group's fills landing in the same set.
-
-    ``set_idx`` is in first-occurrence order; the rank of a fill is how
-    many earlier fills of the group map to the same set — i.e. how many
-    ways that set has already handed out by the time scalar replay
-    reaches this fill.
-    """
-    order = np.argsort(set_idx, kind="stable")
-    sorted_sets = set_idx[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_sets[1:] != sorted_sets[:-1]))
-    )
-    arange = np.arange(set_idx.size, dtype=np.int64)
-    run_lengths = np.diff(np.concatenate((starts, [set_idx.size])))
-    ranks_sorted = arange - np.repeat(starts, run_lengths)
-    ranks = np.empty(set_idx.size, dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks
-
-
-def _select_ways_numpy(
-    stamp: np.ndarray, base: np.ndarray, ranks: np.ndarray, assoc: int
-) -> np.ndarray:
-    """Way of the ``ranks[i]``-th smallest ``(stamp, way)`` per fill."""
-    cand = stamp[base[:, None] + np.arange(1, assoc + 1, dtype=np.int64)]
-    order = np.argsort(cand, axis=1, kind="stable")
-    return order[np.arange(base.size), ranks]
-
-
-def _select_empty_numpy(
-    stamp: np.ndarray, base: np.ndarray, ranks: np.ndarray, assoc: int
-) -> np.ndarray:
-    """Way of the ``ranks[i]``-th *empty* way per fill, ``-1`` if none."""
-    cand = stamp[base[:, None] + np.arange(1, assoc + 1, dtype=np.int64)]
-    empty = cand == 0
-    hit = empty & (np.cumsum(empty, axis=1) == (ranks + 1)[:, None])
-    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
-
-
-_BACKEND = "numpy"
-_select_ways = _select_ways_numpy
-_select_empty = _select_empty_numpy
-
-if os.environ.get("REPRO_COLUMNAR_JIT", "1") != "0":  # pragma: no cover
-    try:
-        import numba  # noqa: F401  (optional, absent from CI images)
-
-        @numba.njit(cache=False)
-        def _select_ways_jit(stamp, base, ranks, assoc):  # type: ignore[no-redef]
-            n = base.size
-            out = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                b = base[i]
-                k = ranks[i]
-                for w in range(assoc):
-                    sw = stamp[b + 1 + w]
-                    smaller = 0
-                    for v in range(assoc):
-                        sv = stamp[b + 1 + v]
-                        if sv < sw or (sv == sw and v < w):
-                            smaller += 1
-                    if smaller == k:
-                        out[i] = w
-                        break
-            return out
-
-        @numba.njit(cache=False)
-        def _select_empty_jit(stamp, base, ranks, assoc):  # type: ignore[no-redef]
-            n = base.size
-            out = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                b = base[i]
-                k = ranks[i]
-                seen = 0
-                chosen = -1
-                for w in range(assoc):
-                    if stamp[b + 1 + w] == 0:
-                        if seen == k:
-                            chosen = w
-                            break
-                        seen += 1
-                out[i] = chosen
-            return out
-
-        _select_ways = _select_ways_jit
-        _select_empty = _select_empty_jit
-        _BACKEND = "numba"
-    except Exception:
-        # Any import/compile failure degrades to the numpy selectors;
-        # the two are bit-identical so nothing downstream cares.
-        _BACKEND = "numpy"
-        _select_ways = _select_ways_numpy
-        _select_empty = _select_empty_numpy
-
-
+# Kept only because perfbench/run.py records it; the next benchmark change can drop this module.
 def miss_path_backend() -> str:
-    """``"numba"`` when the compiled selector is active, else ``"numpy"``."""
-    return _BACKEND
-
-
-def select_fill_slots(
-    stamp: np.ndarray, set_idx: np.ndarray, assoc: int
-) -> Optional[np.ndarray]:
-    """Slot (flat way index) each fill of a group receives, or ``None``.
-
-    ``set_idx`` maps each fill (first-occurrence order) to its home
-    set.  Scalar replay hands the *k*-th fill in a set the way with the
-    *k*-th smallest ``(stamp, way)`` pair at batch start: earlier fills
-    restamp their ways above every pre-batch stamp, so they never win a
-    later scan, and empty ways (stamp ``0``) sort before occupied ones
-    (stamps ``>= 1``) in way order — exactly the scalar
-    first-empty-else-min-stamp scan.  Returns ``None`` when a set
-    receives more fills than it has ways (rank overflow), which the
-    scalar walk must arbitrate instead.
-    """
-    ranks = _fill_ranks(set_idx)
-    if ranks.size and int(ranks.max()) >= assoc:
-        return None
-    base = set_idx * assoc
-    ways = _select_ways(stamp, base, ranks, assoc)
-    return base + ways
-
-
-def select_empty_slots(
-    stamp: np.ndarray, set_idx: np.ndarray, assoc: int
-) -> Optional[np.ndarray]:
-    """Slot each fill of an evict-free group receives, or ``None``.
-
-    ``set_idx`` maps each fill (first-occurrence order) to its home
-    set.  The *k*-th fill a set receives must land in its ``(k+1)``-th
-    empty way (stamp ``0``; scalar replay's first-empty scan skips the
-    ways the group's earlier inserts just occupied).  Returns ``None``
-    when any fill runs out of empty ways — scalar replay would evict
-    there, and evictions stay on the scalar walk.
-    """
-    ranks = _fill_ranks(set_idx)
-    base = set_idx * assoc
-    ways = _select_empty(stamp, base, ranks, assoc)
-    if ways.size and int(ways.min()) < 0:
-        return None
-    return base + ways
+    """Always ``"numpy"``: there is no compiled backend."""
+    return "numpy"

@@ -101,13 +101,15 @@ SPAN_GEN_GENERATE = "sim.trace.generate"
 SPAN_GEN_REPLAY = "sim.trace.replay"
 SPAN_MEM_BATCHED = "sim.mem.batched"
 SPAN_MEM_SCALAR = "sim.mem.scalar"
+# Never emitted; kept only because perfbench/run.py reads it (the next benchmark change can drop it).
 SPAN_MEM_COLUMNAR = "sim.mem.columnar"
+# Never emitted; kept only because perfbench/run.py reads it (the next benchmark change can drop it).
 SPAN_MEM_MISS = "sim.mem.miss"
 SPAN_QUEUE = "sim.queue"
 SPAN_POLICY_DECIDE = "sim.policy"
 
-#: Every declared span name.  ``repro profile`` validates rendered
-#: trees against this; ``R305`` parses the assignments above.
+#: Every span name the simulator emits (``R305`` parses the
+#: assignments above, not this set).
 SPAN_NAMES = frozenset({
     SPAN_CELL,
     SPAN_CELL_SETUP,
@@ -122,8 +124,6 @@ SPAN_NAMES = frozenset({
     SPAN_GEN_REPLAY,
     SPAN_MEM_BATCHED,
     SPAN_MEM_SCALAR,
-    SPAN_MEM_COLUMNAR,
-    SPAN_MEM_MISS,
     SPAN_QUEUE,
     SPAN_POLICY_DECIDE,
 })
@@ -242,8 +242,6 @@ __all__ = [
     "SPAN_GEN_REPLAY",
     "SPAN_MEM_BATCHED",
     "SPAN_MEM_SCALAR",
-    "SPAN_MEM_COLUMNAR",
-    "SPAN_MEM_MISS",
     "SPAN_QUEUE",
     "SPAN_POLICY_DECIDE",
     "SPAN_NAMES",

@@ -119,9 +119,6 @@ class _CoreContext:
 class OffloadEngine:
     """Executes one (workload, policy, migration, config) combination."""
 
-    #: Whether this engine class can honour ``engine="columnar"``.
-    _SUPPORTS_COLUMNAR = True
-
     def __init__(
         self,
         spec: WorkloadSpec,
@@ -147,32 +144,18 @@ class OffloadEngine:
         self.bus = bus if bus is not None else NULL_BUS
         self.metrics = metrics
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        # The columnar engine needs the single-threaded event loop (it
-        # precomputes one dense-key stream per context); subclasses that
-        # schedule differently (SMT) clear _SUPPORTS_COLUMNAR and run
-        # the batched engine instead — bit-identical, just not columnar.
-        self._columnar = (
-            config.engine == "columnar" and type(self)._SUPPORTS_COLUMNAR
-        )
-        self._batched = (
-            config.engine == "batched"
-            or (config.engine == "columnar" and not self._columnar)
-        )
+        self._batched = config.engine == "batched"
         # Span names are fixed at construction: generation time is
-        # attributed to replay vs. regeneration by store presence
-        # (columnar always replays materialized traces), and memory time
-        # to the engine variant actually running.
+        # attributed to replay vs. regeneration by store presence, and
+        # memory time to the engine variant actually running.
         self._gen_span = (
-            names.SPAN_GEN_REPLAY
-            if trace_store is not None or self._columnar
+            names.SPAN_GEN_REPLAY if trace_store is not None
             else names.SPAN_GEN_GENERATE
         )
-        if self._columnar:
-            self._mem_span = names.SPAN_MEM_COLUMNAR
-        elif self._batched:
-            self._mem_span = names.SPAN_MEM_BATCHED
-        else:
-            self._mem_span = names.SPAN_MEM_SCALAR
+        self._mem_span = (
+            names.SPAN_MEM_BATCHED if self._batched
+            else names.SPAN_MEM_SCALAR
+        )
         if controller is not None and controller.bus is NULL_BUS:
             controller.bus = self.bus
         # Confidence introspection for decision events: present on the
@@ -216,14 +199,6 @@ class OffloadEngine:
         self.stats.l1 = self.hierarchy.l1_stats
         self.stats.l1i = self.hierarchy.l1i_stats
         self.stats.l2 = self.hierarchy.l2_stats
-        # sim.mem.miss span: the hierarchy accumulates miss-path time
-        # against the profiler's clock (injected — the D-rules keep
-        # wall-clock reads out of memory code), and _add_mem_span
-        # subtracts each fold's delta from the engine's memory span so
-        # sibling self-times stay a partition of replay time.
-        self._miss_ns_seen = 0
-        if self.profiler.enabled:
-            self.hierarchy.miss_timer = self.profiler.t
         self.os_node_id = n_user
         service = config.service
         self.oscore = OsCorePool(
@@ -264,14 +239,9 @@ class OffloadEngine:
         budget_per_core = config.profile.scaled_warmup + config.profile.scaled_roi
         # Generate with slack; phase accounting stops the run.
         slack_budget = budget_per_core * 2 + 1
-        columnar_sources = (
-            self._columnar_sources(slack_budget) if self._columnar else None
-        )
         self.contexts: List[_CoreContext] = []
         for index in range(n_user):
-            if columnar_sources is not None:
-                generator = columnar_sources[index]
-            elif trace_store is not None:
+            if trace_store is not None:
                 generator = trace_store.trace_source(
                     spec, config, index, slack_budget
                 )
@@ -295,90 +265,6 @@ class OffloadEngine:
         self._epoch_executed = 0
         self._epoch_l2_snapshot = (0, 0)
         self._epoch_settled_snapshot: Optional[Tuple[int, int]] = None
-
-    # ------------------------------------------------------------------
-    # columnar setup
-    # ------------------------------------------------------------------
-
-    def _columnar_sources(self, slack_budget: int) -> List[Any]:
-        """Materialize every context's trace and columnarize the caches.
-
-        The columnar engine always replays materialized traces — it
-        needs each thread's whole flattened reference stream up front to
-        build the run's line *universe* (the sorted distinct lines the
-        run will ever touch).  Per-line L1 state then lives in flat
-        arrays indexed by dense keys, and each thread's key stream is
-        translated once here — or, when a trace store is attached,
-        loaded from its persisted columnar bundle (the derived universe
-        and key arrays are content-addressed alongside the traces
-        themselves).  Per event, the keys are then just a slice.
-        Replay is bit-identical to live generation (the trace-cache
-        contract), so this changes no result — only representation.
-        """
-        # Deferred import: the engine only depends on repro.cache when
-        # actually running columnar, mirroring the duck-typed store.
-        from repro.cache.tracestore import (
-            ColumnarReplayTrace,
-            materialize_trace_data,
-        )
-        from repro.memory.columnar import build_universe, translate_keys
-
-        datas = []
-        for index in range(self.config.num_user_cores):
-            data = None
-            if self._trace_store is not None:
-                try:
-                    data = self._trace_store.trace_data(
-                        self.spec, self.config, index, slack_budget
-                    )
-                except Exception as error:
-                    logger.warning(
-                        "trace cache bypassed for %s thread %d: %r",
-                        self.spec.name, index, error,
-                    )
-            if data is None:
-                data = materialize_trace_data(
-                    self.spec, self.config, index, slack_budget
-                )
-            datas.append(data)
-        bundle = None
-        if self._trace_store is not None:
-            try:
-                bundle = self._trace_store.columnar_bundle(
-                    self.spec, self.config, datas, slack_budget
-                )
-            except Exception as error:
-                logger.warning(
-                    "columnar-bundle cache bypassed for %s: %r",
-                    self.spec.name, error,
-                )
-        if bundle is None:
-            streams = [data.data_lines for data in datas]
-            streams.extend(
-                data.code_lines
-                for data in datas
-                if data.code_lines is not None
-            )
-            universe = build_universe(streams)
-            data_keys = [
-                translate_keys(universe, data.data_lines, data.data_writes)
-                for data in datas
-            ]
-            code_keys = [
-                translate_keys(universe, data.code_lines)
-                if data.code_lines is not None
-                else None
-                for data in datas
-            ]
-        else:
-            universe = bundle.universe
-            data_keys = bundle.data_keys
-            code_keys = bundle.code_keys
-        self.hierarchy.enable_columnar(universe)
-        return [
-            ColumnarReplayTrace(data, data_keys[index], code_keys[index])
-            for index, data in enumerate(datas)
-        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -509,23 +395,6 @@ class OffloadEngine:
     # event execution
     # ------------------------------------------------------------------
 
-    def _add_mem_span(self, prof: SpanProfiler, elapsed: int) -> None:
-        """Fold one replay's elapsed time into the memory spans.
-
-        The miss-path nanoseconds the hierarchy accumulated since the
-        last fold go to ``sim.mem.miss``; the remainder goes to the
-        engine-variant span.  Together the two partition replay time,
-        so ``repro profile`` shows the fast-path/miss-path Amdahl split
-        directly.
-        """
-        hierarchy = self.hierarchy
-        miss = hierarchy.miss_ns - self._miss_ns_seen
-        if miss:
-            self._miss_ns_seen = hierarchy.miss_ns
-            prof.add_ns(names.SPAN_MEM_MISS, miss)
-            elapsed -= miss
-        prof.add_ns(self._mem_span, elapsed)
-
     def _run_user_segment(self, ctx: _CoreContext, segment: UserSegment) -> None:
         prof = self.profiler
         t0 = prof.t() if prof.enabled else 0
@@ -535,18 +404,14 @@ class OffloadEngine:
             if self.config.enable_icache
             else None
         )
-        keys = ctx.generator.data_keys() if self._columnar else None
         if prof.enabled:
             t1 = prof.t()
             prof.add_ns(self._gen_span, t1 - t0)
-        stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb, keys)
+        stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
         if code_lines is not None:
-            stalls += self._replay_code(
-                ctx.node_id, code_lines,
-                ctx.generator.code_keys() if self._columnar else None,
-            )
+            stalls += self._replay_code(ctx.node_id, code_lines)
         if prof.enabled:
-            self._add_mem_span(prof, prof.t() - t1)
+            prof.add_ns(self._mem_span, prof.t() - t1)
         if ctx.branch is not None:
             stalls += ctx.branch.execute(segment.instructions, USER_MODE)
         ctx.core.retire(segment.instructions, stalls)
@@ -566,18 +431,14 @@ class OffloadEngine:
                 if self.config.enable_icache
                 else None
             )
-            keys = ctx.generator.data_keys() if self._columnar else None
             if prof.enabled:
                 t1 = prof.t()
                 prof.add_ns(self._gen_span, t1 - t0)
-            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb, keys)
+            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
             if code_lines is not None:
-                stalls += self._replay_code(
-                    ctx.node_id, code_lines,
-                    ctx.generator.code_keys() if self._columnar else None,
-                )
+                stalls += self._replay_code(ctx.node_id, code_lines)
             if prof.enabled:
-                self._add_mem_span(prof, prof.t() - t1)
+                prof.add_ns(self._mem_span, prof.t() - t1)
             if ctx.branch is not None:
                 stalls += ctx.branch.execute(invocation.length, OS_MODE)
             ctx.core.retire(invocation.length, stalls)
@@ -617,12 +478,6 @@ class OffloadEngine:
             if self.config.enable_icache
             else None
         )
-        keys = ctx.generator.data_keys() if self._columnar else None
-        code_keys = (
-            ctx.generator.code_keys()
-            if self._columnar and code_lines is not None
-            else None
-        )
         if prof.enabled:
             prof.add_ns(self._gen_span, prof.t() - t0)
 
@@ -645,13 +500,11 @@ class OffloadEngine:
             offload_stats.offloaded_instructions += invocation.length
             one_way = self.migration.one_way_latency
             t0 = prof.t() if prof.enabled else 0
-            stalls = self._replay(
-                self.os_node_id, lines, writes, self.os_tlb, keys
-            )
+            stalls = self._replay(self.os_node_id, lines, writes, self.os_tlb)
             if code_lines is not None:
-                stalls += self._replay_code(self.os_node_id, code_lines, code_keys)
+                stalls += self._replay_code(self.os_node_id, code_lines)
             if prof.enabled:
-                self._add_mem_span(prof, prof.t() - t0)
+                prof.add_ns(self._mem_span, prof.t() - t0)
             if self.os_branch is not None:
                 stalls += self.os_branch.execute(invocation.length, OS_MODE)
             # The OS core is occupied for the migration-in window too: it
@@ -701,11 +554,11 @@ class OffloadEngine:
                 self._queue_hist.observe(queue_delay)
         else:
             t0 = prof.t() if prof.enabled else 0
-            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb, keys)
+            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
             if code_lines is not None:
-                stalls += self._replay_code(ctx.node_id, code_lines, code_keys)
+                stalls += self._replay_code(ctx.node_id, code_lines)
             if prof.enabled:
-                self._add_mem_span(prof, prof.t() - t0)
+                prof.add_ns(self._mem_span, prof.t() - t0)
             if ctx.branch is not None:
                 stalls += ctx.branch.execute(invocation.length, OS_MODE)
             ctx.core.retire(invocation.length, stalls)
@@ -856,7 +709,6 @@ class OffloadEngine:
         lines: np.ndarray,
         writes: np.ndarray,
         tlb: Optional[TranslationBuffer],
-        keys: Optional[np.ndarray] = None,
     ) -> int:
         """Replay a reference stream through the hierarchy; sum the stalls.
 
@@ -867,17 +719,7 @@ class OffloadEngine:
         translations happen before the memory accesses instead of
         interleaved with them, which is unobservable — the two
         structures share no state and nothing reads counters mid-event.
-        The columnar engine additionally receives ``keys``, the event's
-        precomputed dense access keys (see
-        :meth:`MemoryHierarchy.access_batch_columnar`).
         """
-        if self._columnar:
-            total = self.hierarchy.access_batch_columnar(
-                node_id, lines, writes, keys
-            )
-            if tlb is not None:
-                total += tlb.access_batch(lines)
-            return total
         if self._batched:
             total = self.hierarchy.access_batch(node_id, lines, writes)
             if tlb is not None:
@@ -898,17 +740,8 @@ class OffloadEngine:
                 total += translate(line) + access(node_id, line, is_write)
         return total
 
-    def _replay_code(
-        self,
-        node_id: int,
-        lines: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> int:
+    def _replay_code(self, node_id: int, lines: np.ndarray) -> int:
         """Replay an instruction-fetch stream through the L1I path."""
-        if self._columnar:
-            return self.hierarchy.access_code_batch_columnar(
-                node_id, lines, keys
-            )
         if self._batched:
             return self.hierarchy.access_code_batch(node_id, lines)
         access_code = self.hierarchy.access_code

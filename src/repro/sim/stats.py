@@ -5,11 +5,10 @@ counters) so that the hot simulation loop can bump them without hashing,
 and so that typos fail loudly as ``AttributeError`` instead of silently
 creating new keys.
 
-Mutation discipline: batch engines may *fold* many scalar bumps into
-one ``+= n`` (``Cache.record_batch``, ``Directory.record_cold_fills``,
-``MainMemory.fetch_batch``, the vectorized miss kernel's energy
+Mutation discipline: the batched engine may *fold* many scalar bumps
+into one ``+= n`` (``Cache.record_batch``, its per-batch energy
 updates), but every fold must land on the same counter the scalar path
-bumps — never a new shadow counter — so all engines remain
+bumps — never a new shadow counter — so both engines remain
 bit-comparable attribute by attribute.  The simlint P201 parity rule
 checks the reachable-mutation *sets* of the scalar and batched entry
 points statically; folding preserves the set, which is why grouped

@@ -108,6 +108,13 @@ class TestSimulatorConfig:
     def test_window_traps_included_by_default(self):
         assert SimulatorConfig().include_window_traps is True
 
+    def test_engine_is_scalar_or_batched(self):
+        assert SimulatorConfig().engine == "batched"
+        assert SimulatorConfig(engine="scalar").engine == "scalar"
+        with pytest.raises(ConfigurationError) as excinfo:
+            SimulatorConfig(engine="columnar")
+        assert "['batched', 'scalar']" in str(excinfo.value)
+
 
 class TestTable2:
     def test_all_paper_rows_present(self):

@@ -55,8 +55,6 @@ EXPECTED_BAD = [
     ("D104", "obs/emitters.py", "hash-dependent"),
     ("P201", "memory/hierarchy.py", "'l1_accesses'"),
     ("P201", "memory/hierarchy.py", "'l2_accesses'"),
-    ("P201", "memory/columnar.py", "'l1_accesses'"),
-    ("P201", "memory/columnar.py", "'l2_accesses'"),
     ("R301", "obs/emitters.py", "RogueEvent"),
     ("R301", "obs/emitters.py", "ad-hoc literal"),
     ("R302", "obs/instruments.py", "repro_rogue_total"),
@@ -183,56 +181,14 @@ def test_parity_rule_catches_counter_removed_from_batched_path(tmp_path):
     ), f"P201 should flag the removed counter, got: {findings}"
 
 
-def test_parity_rule_catches_counter_removed_from_columnar_path_only(tmp_path):
-    """A counter dropped *only* in the columnar path fails lint.
-
-    ``access_batch`` keeps its full closure; the mutation severs the
-    columnar tier-2 loop's escalation into the shared miss helper, so
-    only the ``(access, access_batch_columnar)`` pair loses counters.
-    The vectorized miss kernel (still reachable) keeps the access/energy
-    counters and — through the cross-class helper closure —
-    ``directory_lookups`` alive, so the counter that vanishes is the
-    protocol-action one only the scalar miss helper bumps:
-    ``cache_to_cache_transfers``.
-    """
-    package = _package_dir()
-    (tmp_path / "sim").mkdir()
-    (tmp_path / "memory").mkdir()
-    shutil.copy(package / "sim" / "stats.py", tmp_path / "sim" / "stats.py")
-    hierarchy = (package / "memory" / "hierarchy.py").read_text()
-    target = (
-        "                misses += 1\n"
-        "                l1.clock = clock0 + p\n"
-        "                total += miss_fill(node, line, key & 1)"
-    )
-    mutated = hierarchy.replace(
-        target, target.replace("total += miss_fill(node, line, key & 1)",
-                               "total += 0"),
-    )
-    assert mutated != hierarchy, "mutation target not found in hierarchy.py"
-    (tmp_path / "memory" / "hierarchy.py").write_text(mutated)
-
-    findings = run_lint([tmp_path], root=tmp_path, select=["P"])
-    assert any(
-        v.rule == "P201"
-        and "cache_to_cache_transfers" in v.message
-        and "access_batch_columnar" in v.message
-        for v in findings
-    ), f"P201 should flag the columnar-only drop, got: {findings}"
-    # The batched pair is untouched: no finding names it.
-    assert not any(
-        "'access_batch'" in v.message for v in findings
-    ), f"batched pair should stay green, got: {findings}"
-
-
 def test_parity_rule_follows_helper_attribute_calls(tmp_path):
     """Counters bumped inside ``self.directory.<m>()`` join the closure.
 
     The scalar path charges ``directory_lookups`` through
-    ``Directory.lookup``; the batched path folds the same counter
-    through ``Directory.record_cold_fills``.  Dropping the fold leaves
-    the counter scalar-only, which the rule must see *through* the
-    helper object — an intra-class closure cannot.
+    ``Directory.lookup``; this synthetic batch path folds the same
+    counter through a bulk ``Directory.lookup_many``.  Dropping the fold
+    leaves the counter scalar-only, which the rule must see *through*
+    the helper object — an intra-class closure cannot.
     """
     package = _package_dir()
     (tmp_path / "sim").mkdir()
@@ -242,7 +198,7 @@ def test_parity_rule_follows_helper_attribute_calls(tmp_path):
         "class Directory:\n"
         "    def lookup(self, line):\n"
         "        self.stats.directory_lookups += 1\n"
-        "    def record_cold_fills(self, lines, node):\n"
+        "    def lookup_many(self, lines):\n"
         "        self.stats.directory_lookups += len(lines)\n"
     )
     balanced = (
@@ -250,13 +206,13 @@ def test_parity_rule_follows_helper_attribute_calls(tmp_path):
         "    def access(self, line):\n"
         "        self.directory.lookup(line)\n"
         "    def access_batch(self, lines):\n"
-        "        self.directory.record_cold_fills(lines, 0)\n"
+        "        self.directory.lookup_many(lines)\n"
     )
     (tmp_path / "memory" / "hierarchy.py").write_text(balanced)
     assert run_lint([tmp_path], root=tmp_path, select=["P"]) == []
 
     severed = balanced.replace(
-        "self.directory.record_cold_fills(lines, 0)", "pass"
+        "self.directory.lookup_many(lines)", "pass"
     )
     (tmp_path / "memory" / "hierarchy.py").write_text(severed)
     findings = run_lint([tmp_path], root=tmp_path, select=["P"])

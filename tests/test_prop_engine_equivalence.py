@@ -1,7 +1,7 @@
-"""Property-based differential tests: batched ≡ scalar ≡ columnar.
+"""Property-based differential tests: batched ≡ scalar.
 
-The batch engines in :class:`repro.memory.hierarchy.MemoryHierarchy`
-claim *bit identity* with the scalar reference implementation.  The
+The batched engine in :class:`repro.memory.hierarchy.MemoryHierarchy`
+claims *bit identity* with the scalar reference implementation.  The
 golden suite pins fixed cells; this module lets Hypothesis pick the
 cell — workload, policy, seed, model features, core counts — and then
 demands that the engines agree on
@@ -11,13 +11,9 @@ demands that the engines agree on
 - final MESI directory state (owner + sharer sets per line),
 - throughput, and the MESI/fast-map invariants at end of run.
 
-Lower-level properties drive random reference arrays straight through
-``access_batch`` / ``access_batch_columnar`` against a fold of
-``access`` on a replica hierarchy, where shrinking produces minimal
-counterexample streams.  A ``--runslow`` property additionally draws
-open-loop OS-core-pool cells (dispatch × pool size × arrival model)
-and asserts counter, RequestEvent and latency parity of the columnar
-engine against batched.
+A lower-level property drives random reference arrays straight
+through ``access_batch`` against a fold of ``access`` on a replica
+hierarchy, where shrinking produces minimal counterexample streams.
 """
 
 from __future__ import annotations
@@ -25,14 +21,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.bus import TraceBus
-from repro.obs.events import RequestEvent
-from repro.service.config import ServiceConfig
 from repro.sim.config import CacheConfig, MemorySystemConfig, SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import make_policy, simulate
 from repro.workloads.presets import get_workload
@@ -87,15 +80,14 @@ def test_engines_bit_identical_on_random_cells(cell):
     scalar, scalar_events = _run(
         "scalar", workload, policy_name, seed, **cell
     )
-    for engine in ("batched", "columnar"):
-        other, other_events = _run(
-            engine, workload, policy_name, seed, **cell
-        )
-        assert (
-            dataclasses.asdict(scalar.stats) == dataclasses.asdict(other.stats)
-        ), f"{engine} stats diverged from scalar"
-        assert scalar_events == other_events, f"{engine} events diverged"
-        assert scalar.throughput == other.throughput
+    batched, batched_events = _run(
+        "batched", workload, policy_name, seed, **cell
+    )
+    assert (
+        dataclasses.asdict(scalar.stats) == dataclasses.asdict(batched.stats)
+    ), "batched stats diverged from scalar"
+    assert scalar_events == batched_events, "batched events diverged"
+    assert scalar.throughput == batched.throughput
 
 
 # ---------------------------------------------------------------------------
@@ -152,95 +144,3 @@ def test_access_batch_equals_access_fold(batches):
     assert _state(scalar) == _state(batched)
     scalar.check_invariants()
     batched.check_invariants()
-
-
-@given(batches=BATCHES)
-@settings(max_examples=200, deadline=None)
-def test_access_batch_columnar_equals_access_fold(batches):
-    """Columnar batches ≡ scalar fold on a ColumnarCache hierarchy.
-
-    The columnar replica swaps its L1s to the array representation over
-    the full 48-line universe before the first access, then replays the
-    same batches; residency, LRU order, per-cache counters and the
-    directory snapshot must all match the scalar hierarchy's.
-    """
-    scalar = MemoryHierarchy(_TINY_MEMORY, ["a", "b"])
-    columnar = MemoryHierarchy(_TINY_MEMORY, ["a", "b"])
-    columnar.enable_columnar(np.arange(48, dtype=np.int64))
-    for node, refs in batches:
-        lines = np.array([line for line, _ in refs], dtype=np.int64)
-        writes = np.array([w for _, w in refs], dtype=np.int64)
-        scalar_total = 0
-        for line, is_write in refs:
-            scalar_total += scalar.access(node, line, bool(is_write))
-        columnar_total = columnar.access_batch_columnar(node, lines, writes)
-        assert scalar_total == columnar_total
-    assert _state(scalar) == _state(columnar)
-    scalar.check_invariants()
-    columnar.check_invariants()
-
-
-# ---------------------------------------------------------------------------
-# OS-core pool dispatch differential (open loop, columnar vs batched)
-# ---------------------------------------------------------------------------
-
-POOL_CELLS = st.fixed_dictionaries(
-    {
-        "seed": st.integers(min_value=0, max_value=2**31 - 1),
-        "arrivals": st.sampled_from(["poisson", "bursty"]),
-        "os_cores": st.integers(min_value=1, max_value=3),
-        "dispatch": st.sampled_from(["shard", "shortest", "steal"]),
-    }
-)
-
-
-@pytest.mark.slow
-@given(cell=POOL_CELLS)
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-def test_oscore_pool_dispatch_columnar_matches_batched(cell):
-    """Counter + RequestEvent + latency parity under every dispatch mode.
-
-    Open-loop cells route off-loads through the
-    :class:`~repro.offload.oscore.OsCorePool`; the columnar engine only
-    changes how reference streams are replayed, so pool dispatch,
-    per-request latency records and the tail snapshot must be
-    bit-identical to the batched engine on every drawn cell.
-    """
-    runs = {}
-    for engine in ("batched", "columnar"):
-        config = SimulatorConfig(
-            profile=TEST_SCALE,
-            seed=cell["seed"],
-            engine=engine,
-            num_user_cores=2,
-            service=ServiceConfig(
-                arrivals=cell["arrivals"],
-                mean_interarrival_cycles=10_000.0,
-                os_cores=cell["os_cores"],
-                dispatch=cell["dispatch"],
-            ),
-        )
-        spec = get_workload("apache")
-        policy = make_policy("HI", threshold=100, spec=spec, config=config)
-        sink = _ListSink()
-        result = simulate(spec, policy, config=config, bus=TraceBus(sink))
-        runs[engine] = (result, sink.records)
-    batched, batched_events = runs["batched"]
-    columnar, columnar_events = runs["columnar"]
-    assert (
-        dataclasses.asdict(batched.stats) == dataclasses.asdict(columnar.stats)
-    )
-    batched_requests = [
-        r for r in batched_events if r.get("kind") == RequestEvent.kind
-    ]
-    columnar_requests = [
-        r for r in columnar_events if r.get("kind") == RequestEvent.kind
-    ]
-    assert batched_requests, "open-loop cell recorded no RequestEvents"
-    assert batched_requests == columnar_requests
-    assert batched_events == columnar_events
-    assert batched.latency.to_dict() == columnar.latency.to_dict()

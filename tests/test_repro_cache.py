@@ -189,74 +189,6 @@ def test_schema_bump_changes_every_key(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# columnar bundles: the derived universe/key arrays ride the same store
-# ----------------------------------------------------------------------
-
-
-def test_columnar_bundle_persists_and_replays(tmp_path):
-    workload, seed = GOLDEN_CELLS[0]
-    committed = json.loads(golden_path(workload, seed).read_text())
-    root = _store_root(tmp_path)
-    cold = TraceStore(root)
-    assert run_cell(workload, seed, "columnar", trace_store=cold) == committed
-    assert cold.counters["columnar_misses"] == 1
-    assert cold.counters["columnar_hits"] == 0
-    # Same store instance: served from the in-process LRU.
-    assert run_cell(workload, seed, "columnar", trace_store=cold) == committed
-    assert cold.counters["columnar_hits"] == 1
-    # Fresh store: the persisted arrays load instead of rederiving.
-    warm = TraceStore(root)
-    assert run_cell(workload, seed, "columnar", trace_store=warm) == committed
-    assert warm.counters["columnar_misses"] == 0
-    assert warm.counters["columnar_hits"] == 1
-    assert warm.counters["bytes_read"] > 0
-
-
-def test_columnar_bundle_corruption_rederives(tmp_path, caplog):
-    workload, seed = GOLDEN_CELLS[0]
-    committed = json.loads(golden_path(workload, seed).read_text())
-    root = _store_root(tmp_path)
-    run_cell(workload, seed, "columnar", trace_store=TraceStore(root))
-    # Truncate every npz in the store — traces and bundle alike.
-    for npz in _trace_files(root, ".npz"):
-        npz.write_bytes(npz.read_bytes()[:100])
-    store = TraceStore(root)
-    with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        assert (
-            run_cell(workload, seed, "columnar", trace_store=store) == committed
-        )
-    assert any(
-        "corrupt columnar-bundle entry" in r.message for r in caplog.records
-    )
-    assert store.counters["columnar_misses"] == 1
-    # The rewritten entry is whole again.
-    fresh = TraceStore(root)
-    assert run_cell(workload, seed, "columnar", trace_store=fresh) == committed
-    assert fresh.counters["columnar_misses"] == 0
-
-
-def test_columnar_bundle_budget_drift_rederives(tmp_path):
-    workload, seed = GOLDEN_CELLS[0]
-    committed = json.loads(golden_path(workload, seed).read_text())
-    root = _store_root(tmp_path)
-    run_cell(workload, seed, "columnar", trace_store=TraceStore(root))
-    # Doctor the recorded budget: the manifest loads fine, but the
-    # bundle no longer matches the traces and must be rederived.
-    doctored = 0
-    for path in _trace_files(root, ".json"):
-        manifest = json.loads(path.read_text())
-        if manifest.get("kind") == "columnar":
-            manifest["budget"] = manifest["budget"] + 1
-            path.write_text(json.dumps(manifest))
-            doctored += 1
-    assert doctored == 1
-    store = TraceStore(root)
-    assert run_cell(workload, seed, "columnar", trace_store=store) == committed
-    assert store.counters["columnar_misses"] == 1
-    assert store.counters["trace_misses"] == 0  # traces themselves still hit
-
-
-# ----------------------------------------------------------------------
 # level 2: result memoization
 # ----------------------------------------------------------------------
 
