@@ -23,7 +23,9 @@ sweet spot (N=100, aggressive migration) so that off-load, coherence
 and predictor machinery all contribute counters.  A second grid of
 open-loop *service* cells (arrival model x OS-core pool x dispatch,
 same 2 seeds) additionally pins the ``LatencyStats`` snapshot, so the
-tail-latency pipeline is golden-covered too.
+tail-latency pipeline is golden-covered too.  A third grid pins the
+two-threads-per-user-core (SMT) engine, whose blocked-switch scheduler
+overlaps one thread's off-load with its sibling's execution.
 """
 
 from __future__ import annotations
@@ -63,12 +65,29 @@ SERVICE_CELLS: Tuple[Tuple[str, str, int, str], ...] = (
 SERVICE_SEEDS: Tuple[int, ...] = (2010, 7)
 
 
+#: SMT cells: ``(tag, workload, num_user_cores, one_way_latency)``, all
+#: at two threads per user core and HI/N=100.  The aggressive two-core
+#: cell makes threads of different cores share the OS-core pool; the
+#: conservative one-core cell keeps both siblings blocked long enough
+#: that the core idles.  Each runs under both :data:`SMT_SEEDS`.
+SMT_CELLS: Tuple[Tuple[str, str, int, int], ...] = (
+    ("apache_2core_oneway100", "apache", 2, 100),
+    ("derby_1core_oneway5000", "derby", 1, 5_000),
+)
+
+SMT_SEEDS: Tuple[int, ...] = (2010, 7)
+
+
 def golden_path(workload: str, seed: int) -> pathlib.Path:
     return GOLDEN_DIR / f"{workload}_seed{seed}.json"
 
 
 def service_golden_path(tag: str, seed: int) -> pathlib.Path:
     return GOLDEN_DIR / f"service_{tag}_seed{seed}.json"
+
+
+def smt_golden_path(tag: str, seed: int) -> pathlib.Path:
+    return GOLDEN_DIR / f"smt_{tag}_seed{seed}.json"
 
 
 def run_cell(
@@ -138,6 +157,34 @@ def run_service_cell(
     }
 
 
+def run_smt_cell(
+    tag: str, seed: int, engine: str, trace_store: Any = None
+) -> Dict[str, Any]:
+    """Simulate one SMT golden cell; return its stats as a plain dict."""
+    from repro.offload.migration import MigrationModel
+    from repro.sim.config import SimulatorConfig, TEST_SCALE
+    from repro.sim.simulator import make_policy, simulate
+    from repro.workloads.presets import get_workload
+
+    workload, user_cores, one_way = next(
+        (w, c, o) for t, w, c, o in SMT_CELLS if t == tag
+    )
+    config = SimulatorConfig(
+        profile=TEST_SCALE,
+        seed=seed,
+        engine=engine,
+        num_user_cores=user_cores,
+        threads_per_user_core=2,
+    )
+    spec = get_workload(workload)
+    migration = MigrationModel(f"golden-{one_way}", one_way)
+    policy = make_policy(
+        "HI", threshold=100, migration=migration, spec=spec, config=config
+    )
+    result = simulate(spec, policy, migration, config, trace_store=trace_store)
+    return dataclasses.asdict(result.stats)
+
+
 def flatten(stats: Any, prefix: str = "") -> Iterator[Tuple[str, Any]]:
     """Yield ``(dot.path, leaf)`` pairs for readable golden diffs."""
     if isinstance(stats, dict):
@@ -177,6 +224,13 @@ def main(argv: Tuple[str, ...] = tuple(sys.argv[1:])) -> int:
         )
         for tag, _, _, _ in SERVICE_CELLS
         for s in SERVICE_SEEDS
+    ] + [
+        (
+            smt_golden_path(tag, s),
+            lambda tag=tag, s=s: run_smt_cell(tag, s, engine="scalar"),
+        )
+        for tag, _, _, _ in SMT_CELLS
+        for s in SMT_SEEDS
     ]
     for path, compute in cells:
         stats = compute()

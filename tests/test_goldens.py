@@ -26,11 +26,15 @@ from tests.goldens.regen import (
     GOLDEN_CELLS,
     SERVICE_CELLS,
     SERVICE_SEEDS,
+    SMT_CELLS,
+    SMT_SEEDS,
     flatten,
     golden_path,
     run_cell,
     run_service_cell,
+    run_smt_cell,
     service_golden_path,
+    smt_golden_path,
 )
 
 ENGINES = ("scalar", "batched")
@@ -84,6 +88,26 @@ def test_service_golden_stats(tag, seed, engine):
         )
 
 
+@pytest.mark.parametrize(
+    "tag,seed",
+    [(tag, seed) for tag, _, _, _ in SMT_CELLS for seed in SMT_SEEDS],
+)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_smt_golden_stats(tag, seed, engine):
+    """Two threads per user core: the blocked-switch scheduler's stats."""
+    path = smt_golden_path(tag, seed)
+    golden = json.loads(path.read_text())
+    actual = run_smt_cell(tag, seed, engine=engine)
+    diff = _diff_lines(golden, actual)
+    if diff:
+        pytest.fail(
+            f"{engine} engine drifted from {path.name} "
+            f"({len(diff)} counters):\n" + "\n".join(diff) + "\n"
+            "If intentional: PYTHONPATH=src python tests/goldens/regen.py",
+            pytrace=False,
+        )
+
+
 def test_goldens_cover_all_committed_files():
     """Every committed golden file belongs to a cell in the grid."""
     committed = {
@@ -94,5 +118,9 @@ def test_goldens_cover_all_committed_files():
         service_golden_path(tag, s).name
         for tag, _, _, _ in SERVICE_CELLS
         for s in SERVICE_SEEDS
+    } | {
+        smt_golden_path(tag, s).name
+        for tag, _, _, _ in SMT_CELLS
+        for s in SMT_SEEDS
     }
     assert committed == expected
