@@ -26,13 +26,19 @@ class InOrderCore:
     Off-load bookkeeping (waiting on migration or on the OS core) is
     charged through the dedicated methods so the stats can attribute time
     to the right bucket.
+
+    The core keeps two views of time.  :attr:`now` is the local time the
+    counters measure, so the warm-up counter reset restarts it;
+    :attr:`clock` is absolute, advanced by every charge and never reset,
+    so timestamps taken across the reset stay monotone.
     """
 
-    __slots__ = ("config", "stats", "_unit_cpi")
+    __slots__ = ("config", "stats", "clock", "_unit_cpi")
 
     def __init__(self, config: CoreConfig, stats: CoreStats):
         self.config = config
         self.stats = stats
+        self.clock = 0
         # With the paper's base CPI of exactly 1.0, int(n * 1.0) == n for
         # every representable instruction count, so retire() can skip the
         # float round-trip without changing a single cycle.
@@ -46,11 +52,13 @@ class InOrderCore:
             cycles = int(instructions * self.config.base_cpi) + stall_cycles
         self.stats.instructions += instructions
         self.stats.busy_cycles += cycles
+        self.clock += cycles
         return cycles
 
     def stall(self, cycles: int) -> None:
         """Stall on local work (e.g. a TLB fill) without retiring."""
         self.stats.busy_cycles += cycles
+        self.clock += cycles
 
     def idle(self, cycles: int) -> None:
         """Advance local time without work (open-loop arrival gating).
@@ -60,10 +68,12 @@ class InOrderCore:
         can distinguish "no demand" from "blocked on the OS core".
         """
         self.stats.idle_cycles += cycles
+        self.clock += cycles
 
     def pay_decision(self, cycles: int) -> None:
         """Charge off-load decision overhead (instrumentation/predictor)."""
         self.stats.decision_cycles += cycles
+        self.clock += cycles
 
     def wait_for_offload(self, cycles: int, queue_cycles: int = 0, migration_cycles: int = 0) -> None:
         """Block while the thread runs remotely.
@@ -75,8 +85,9 @@ class InOrderCore:
         self.stats.offload_wait_cycles += cycles
         self.stats.queue_cycles += queue_cycles
         self.stats.migration_cycles += migration_cycles
+        self.clock += cycles
 
     @property
     def now(self) -> int:
-        """The core's current local time in cycles."""
+        """The core's local time in cycles (restarts at a counter reset)."""
         return self.stats.total_cycles

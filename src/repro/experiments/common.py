@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.metrics import arithmetic_mean
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import BatchResult, BatchRunner, JobSpec
-from repro.runner.baselines import BaselineStore
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile, SimulatorConfig
 from repro.sim.simulator import SimulationResult, simulate_baseline
 from repro.workloads.base import WorkloadSpec
@@ -66,37 +65,22 @@ class BaselineCache:
 
     Baselines are pure functions of (spec, config); each experiment would
     otherwise re-simulate them for every policy/latency/threshold cell.
-
-    With ``cache_dir`` the throughput memo is additionally persisted
-    through a :class:`~repro.runner.baselines.BaselineStore` (one
-    atomically-written JSON file per workload/config), which makes the
-    cache process-safe: parallel batch workers and later resumed runs
-    share baselines through the checkpoint directory instead of each
-    re-simulating them.
+    Parallel grids share baselines across processes through
+    :class:`~repro.runner.baselines.BaselineStore` instead.
     """
 
-    def __init__(self, config: SimulatorConfig, cache_dir: Optional[str] = None):
+    def __init__(self, config: SimulatorConfig):
         self.config = config
         self._cache: Dict[str, SimulationResult] = {}
-        self._store = BaselineStore(cache_dir) if cache_dir else None
 
     def get(self, spec: WorkloadSpec) -> SimulationResult:
         result = self._cache.get(spec.name)
         if result is None:
             result = simulate_baseline(spec, self.config)
             self._cache[spec.name] = result
-            if self._store is not None:
-                self._store.put(spec.name, self.config, result.throughput)
         return result
 
     def throughput(self, spec: WorkloadSpec) -> float:
-        result = self._cache.get(spec.name)
-        if result is not None:
-            return result.throughput
-        if self._store is not None:
-            stored = self._store.get(spec.name, self.config)
-            if stored is not None:
-                return stored
         return self.get(spec).throughput
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.core.policies import HardwareInstrumentation
-from repro.experiments.common import BaselineCache, default_config
+from repro.experiments.common import default_config
 from repro.offload.migration import CONSERVATIVE, MigrationModel
 from repro.sim.config import SimulatorConfig
 from repro.sim.simulator import simulate
@@ -83,7 +83,6 @@ def run_table3(
     migration: MigrationModel = CONSERVATIVE,
 ) -> Table3Result:
     config = config or default_config()
-    BaselineCache(config)  # warms nothing; occupancy needs no baseline
     occupancy: Dict[str, Dict[int, float]] = {}
     for name in workloads:
         spec = get_workload(name)

@@ -128,7 +128,7 @@ class MemoryHierarchy:
             if is_write:
                 return self._write_hit(node, line)
             return 0
-        return self._miss_fill(node, line, is_write)
+        return self._miss_fill(node, line, is_write, node.l1)
 
     def _write_hit(self, node: CoherenceNode, line: int) -> int:
         """Write to an L1-resident line: handle the MESI state change.
@@ -149,11 +149,15 @@ class MemoryHierarchy:
             node.l1.set_state(line, MODIFIED)
         return 0
 
-    def _miss_fill(self, node: CoherenceNode, line: int, is_write: bool) -> int:
-        """Everything after an L1 data miss: L2 probe, directory, fills.
+    def _miss_fill(
+        self, node: CoherenceNode, line: int, is_write: bool, l1: Cache
+    ) -> int:
+        """Everything after an L1 miss: L2 probe, directory, fills.
 
-        Shared by the scalar and batched paths so the two cannot drift;
-        returns the access's stall latency.
+        ``l1`` is the cache that missed — the node's data L1, or its L1I
+        for an instruction fetch (which never writes, so code lines
+        settle into S/E states).  Shared by the scalar and batched paths
+        so the two cannot drift; returns the access's stall latency.
         """
         energy = self.energy
         if energy is not None:
@@ -167,7 +171,7 @@ class MemoryHierarchy:
             elif is_write:
                 l2_state = MODIFIED
                 node.l2.set_state(line, MODIFIED)
-            self._fill_l1(node, line, l2_state)
+            l1.fill(line, l2_state)
             return latency
 
         # L2 miss: consult the directory.
@@ -187,7 +191,7 @@ class MemoryHierarchy:
             self.directory.record_fill(line, node_id, exclusive=True)
 
         self._fill_l2(node, line, new_state)
-        self._fill_l1(node, line, new_state)
+        l1.fill(line, new_state)
         return latency
 
     def access_batch(
@@ -262,7 +266,7 @@ class MemoryHierarchy:
                     total += write_hit(node, line)
                     continue
             misses += 1
-            total += miss_fill(node, line, key & 1)
+            total += miss_fill(node, line, key & 1, l1)
         l1.record_batch(n - misses, misses)
         if self.energy is not None:
             self.energy.l1_accesses += n
@@ -311,33 +315,7 @@ class MemoryHierarchy:
             self.energy.l1_accesses += 1
         if l1i.lookup(line) != INVALID:
             return 0
-        return self._code_miss_fill(node, line)
-
-    def _code_miss_fill(self, node: CoherenceNode, line: int) -> int:
-        """Everything after an L1I miss; shared by scalar and batched."""
-        l1i = node.l1i
-        if self.energy is not None:
-            self.energy.l2_accesses += 1
-        l2_state = node.l2.lookup(line)
-        if l2_state != INVALID:
-            l1i.fill(line, l2_state)
-            return self._l2_hit_latency
-
-        latency = self._l2_dir_latency
-        entry = self.directory.lookup(line)
-        others = entry.sharers
-        if others and (len(others) > 1 or node.node_id not in others):
-            latency += self._serve_from_peers(node, line, False, entry.owner)
-            new_state = SHARED
-        else:
-            latency += self.dram.fetch()
-            if self.energy is not None:
-                self.energy.dram_accesses += 1
-            new_state = EXCLUSIVE
-            self.directory.record_fill(line, node.node_id, exclusive=True)
-        self._fill_l2(node, line, new_state)
-        l1i.fill(line, new_state)
-        return latency
+        return self._miss_fill(node, line, False, l1i)
 
     def access_code_batch(self, node_id: int, lines: np.ndarray) -> int:
         """Replay a whole instruction-fetch stream; return summed stalls.
@@ -345,7 +323,7 @@ class MemoryHierarchy:
         The code analogue of :meth:`access_batch`: bit-identical to
         folding :meth:`access_code` over ``lines``.  Code fetches never
         write, so every reference is either a fast-map LRU touch or an
-        L1I miss escalating to :meth:`_code_miss_fill`.
+        L1I miss escalating to :meth:`_miss_fill`.
         """
         n = lines.size
         if n == 0:
@@ -365,7 +343,7 @@ class MemoryHierarchy:
         else:
             self._opt_backoff -= 1
         fast_get = fast.get
-        code_miss_fill = self._code_miss_fill
+        miss_fill = self._miss_fill
         misses = 0
         total = 0
         for key in keys_list:
@@ -374,7 +352,7 @@ class MemoryHierarchy:
                 move(key >> 1)
                 continue
             misses += 1
-            total += code_miss_fill(node, key >> 1)
+            total += miss_fill(node, key >> 1, False, l1i)
         l1i.record_batch(n - misses, misses)
         if self.energy is not None:
             self.energy.l1_accesses += n
@@ -390,13 +368,7 @@ class MemoryHierarchy:
         latency = self.config.directory_latency
         others = [n for n in entry.sharers if n != node.node_id]
         if others:
-            for other_id in others:
-                other = self.nodes[other_id]
-                other.l2.invalidate(line)
-                other.l1.invalidate(line)
-                if other.l1i is not None:
-                    other.l1i.invalidate(line)
-                self.coherence.invalidations += 1
+            self._invalidate_copies(line, others)
             latency += self.config.invalidation_latency
             latency += self.fabric.broadcast_latency(node.node_id, len(others))
         self.directory.set_owner(line, node.node_id)
@@ -417,11 +389,7 @@ class MemoryHierarchy:
             latency += self.fabric.latency(owner, node.node_id)
             self.coherence.cache_to_cache_transfers += 1
             if is_write:
-                supplier.l2.invalidate(line)
-                supplier.l1.invalidate(line)
-                if supplier.l1i is not None:
-                    supplier.l1i.invalidate(line)
-                self.coherence.invalidations += 1
+                self._invalidate_copies(line, (owner,))
                 latency += self.config.invalidation_latency
                 if supplier_state == MODIFIED:
                     self.dram.writeback()
@@ -447,19 +415,27 @@ class MemoryHierarchy:
         latency += self.fabric.latency(supplier_id, node.node_id)
         self.coherence.cache_to_cache_transfers += 1
         if is_write:
-            for other_id in sharers:
-                other = self.nodes[other_id]
-                other.l2.invalidate(line)
-                other.l1.invalidate(line)
-                if other.l1i is not None:
-                    other.l1i.invalidate(line)
-                self.coherence.invalidations += 1
+            self._invalidate_copies(line, sharers)
             latency += self.config.invalidation_latency
             latency += self.fabric.broadcast_latency(node.node_id, len(sharers))
             self.directory.set_owner(line, node.node_id)
         else:
             self.directory.record_fill(line, node.node_id, exclusive=False)
         return latency
+
+    def _invalidate_copies(self, line: int, node_ids: Sequence[int]) -> None:
+        """Invalidate ``line`` in each listed node's L2, L1 and L1I.
+
+        Every node counts as one coherence invalidation, whichever of its
+        caches held the line.
+        """
+        for node_id in node_ids:
+            other = self.nodes[node_id]
+            other.l2.invalidate(line)
+            other.l1.invalidate(line)
+            if other.l1i is not None:
+                other.l1i.invalidate(line)
+            self.coherence.invalidations += 1
 
     def _fill_l2(self, node: CoherenceNode, line: int, state: int) -> None:
         victim_line, victim_state = node.l2.fill(line, state)
@@ -471,9 +447,6 @@ class MemoryHierarchy:
             self.directory.record_eviction(victim_line, node.node_id)
             if victim_state == MODIFIED:
                 self.dram.writeback()
-
-    def _fill_l1(self, node: CoherenceNode, line: int, state: int) -> None:
-        node.l1.fill(line, state)
 
     # ------------------------------------------------------------------
     # invariant checking (used by property tests)

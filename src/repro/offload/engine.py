@@ -17,9 +17,16 @@ single L2.
 
 With several user cores (Section V.C) the engine interleaves cores by
 local time and serialises their off-load requests through the
-:class:`~repro.offload.oscore.OSCoreQueue`, which is the only channel by
+:class:`~repro.offload.oscore.OsCorePool`, which is the only channel by
 which user cores interact (their working sets are disjoint by
 construction, as separate workload threads).
+
+Every event, single-threaded or SMT, runs through
+:meth:`OffloadEngine._run_user_segment` and
+:meth:`OffloadEngine._run_invocation`.  The SMT scheduler
+(:mod:`repro.offload.smt`) overrides only two decisions of the off-load
+step: when a request reaches the pool (:meth:`_arrival_time`) and who
+blocks until it returns (:meth:`_wait_for_offload`).
 """
 
 from __future__ import annotations
@@ -79,14 +86,24 @@ LATENCY_BUCKETS = (
     100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000, 1000000,
 )
 
+#: One event's drawn reference streams: data lines, their write flags,
+#: and the instruction-fetch lines (``None`` without L1I modelling).
+_Refs = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
 
 class _CoreContext:
-    """Per-user-core simulation state."""
+    """Per-user-core simulation state.
+
+    ``thread_id`` and ``generator`` belong to the hardware thread running
+    on the core: fixed on a single-threaded core, rebound by the SMT
+    scheduler at every step.
+    """
 
     __slots__ = (
         "index",
         "node_id",
         "core",
+        "thread_id",
         "generator",
         "events",
         "branch",
@@ -108,6 +125,7 @@ class _CoreContext:
         self.index = index
         self.node_id = node_id
         self.core = core
+        self.thread_id = index
         self.generator = generator
         self.events = events
         self.branch = branch
@@ -130,7 +148,6 @@ class OffloadEngine:
         metrics: Optional[MetricsRegistry] = None,
         trace_store: Optional[Any] = None,
         profiler: Optional[SpanProfiler] = None,
-        arrivals: Optional[ArrivalSchedule] = None,
     ):
         self.spec = spec
         self.policy = policy
@@ -213,19 +230,16 @@ class OffloadEngine:
         # Open-loop service mode: a per-thread arrival schedule gates
         # when decided OS entries may begin, and a latency accumulator
         # collects the queue/migration/execution decomposition of every
-        # request.  ``_clock_base`` carries each core's pre-ROI elapsed
-        # time across the warm-up counter reset so arrival timestamps
-        # stay absolute and monotone.
+        # request.  Arrivals are timed on each core's absolute clock,
+        # which the warm-up counter reset leaves alone.
         if self._open_loop:
-            self.arrivals: Optional[ArrivalSchedule] = (
-                arrivals if arrivals is not None
-                else ArrivalSchedule(service, seed=config.seed, threads=n_user)
+            self.arrivals: Optional[ArrivalSchedule] = ArrivalSchedule(
+                service, seed=config.seed, threads=n_user
             )
             self.latency: Optional[LatencyAccumulator] = LatencyAccumulator()
         else:
             self.arrivals = None
             self.latency = None
-        self._clock_base = [0] * n_user
         self.os_branch = BranchInterferenceModel() if config.enable_branch_model else None
         self.os_tlb = (
             TranslationBuffer(config.core.tlb_entries) if config.enable_tlb else None
@@ -238,17 +252,10 @@ class OffloadEngine:
 
         budget_per_core = config.profile.scaled_warmup + config.profile.scaled_roi
         # Generate with slack; phase accounting stops the run.
-        slack_budget = budget_per_core * 2 + 1
+        self._slack_budget = budget_per_core * 2 + 1
         self.contexts: List[_CoreContext] = []
         for index in range(n_user):
-            if trace_store is not None:
-                generator = trace_store.trace_source(
-                    spec, config, index, slack_budget
-                )
-            else:
-                generator = TraceGenerator(
-                    spec, config.profile, seed=config.seed, thread_id=index
-                )
+            generator = self._trace_source(index)
             core = InOrderCore(config.core, self.stats.cores[index])
             self.contexts.append(
                 _CoreContext(
@@ -256,7 +263,7 @@ class OffloadEngine:
                     node_id=index,
                     core=core,
                     generator=generator,
-                    events=generator.events(slack_budget),
+                    events=generator.events(self._slack_budget),
                     branch=BranchInterferenceModel() if config.enable_branch_model else None,
                     tlb=TranslationBuffer(config.core.tlb_entries) if config.enable_tlb else None,
                 )
@@ -265,6 +272,17 @@ class OffloadEngine:
         self._epoch_executed = 0
         self._epoch_l2_snapshot = (0, 0)
         self._epoch_settled_snapshot: Optional[Tuple[int, int]] = None
+
+    def _trace_source(self, thread_id: int) -> Any:
+        """One hardware thread's trace: replayed from the store, or live."""
+        if self._trace_store is not None:
+            return self._trace_store.trace_source(
+                self.spec, self.config, thread_id, self._slack_budget
+            )
+        return TraceGenerator(
+            self.spec, self.config.profile, seed=self.config.seed,
+            thread_id=thread_id,
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -285,11 +303,6 @@ class OffloadEngine:
             warm_instructions, warm_os = self._run_phase(
                 profile.scaled_warmup, epochs=False
             )
-        # The counter reset zeroes each core's local clock; fold the
-        # elapsed warm-up time into the absolute-clock bases first so
-        # open-loop arrival timestamps never run backwards.
-        for ctx in self.contexts:
-            self._clock_base[ctx.index] += ctx.core.now
         self.stats.reset_counters()
         if self.latency is not None:
             self.latency.reset()
@@ -395,26 +408,79 @@ class OffloadEngine:
     # event execution
     # ------------------------------------------------------------------
 
-    def _run_user_segment(self, ctx: _CoreContext, segment: UserSegment) -> None:
+    def _draw(self, ctx: _CoreContext, event: TraceEvent) -> _Refs:
+        """Draw one event's reference streams from the running thread."""
         prof = self.profiler
         t0 = prof.t() if prof.enabled else 0
-        lines, writes = ctx.generator.user_accesses(segment.instructions)
-        code_lines = (
-            ctx.generator.user_code_accesses(segment.instructions)
-            if self.config.enable_icache
-            else None
-        )
+        generator = ctx.generator
+        icache = self.config.enable_icache
+        if isinstance(event, UserSegment):
+            lines, writes = generator.user_accesses(event.instructions)
+            code_lines = (
+                generator.user_code_accesses(event.instructions)
+                if icache else None
+            )
+        else:
+            lines, writes = generator.os_accesses(event)
+            code_lines = generator.os_code_accesses(event) if icache else None
         if prof.enabled:
-            t1 = prof.t()
-            prof.add_ns(self._gen_span, t1 - t0)
-        stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
+            prof.add_ns(self._gen_span, prof.t() - t0)
+        return lines, writes, code_lines
+
+    def _replay_refs(
+        self, node_id: int, refs: _Refs, tlb: Optional[TranslationBuffer]
+    ) -> int:
+        """Replay drawn streams through one node's caches; sum the stalls."""
+        prof = self.profiler
+        t0 = prof.t() if prof.enabled else 0
+        lines, writes, code_lines = refs
+        stalls = self._replay(node_id, lines, writes, tlb)
         if code_lines is not None:
-            stalls += self._replay_code(ctx.node_id, code_lines)
+            stalls += self._replay_code(node_id, code_lines)
         if prof.enabled:
-            prof.add_ns(self._mem_span, prof.t() - t1)
+            prof.add_ns(self._mem_span, prof.t() - t0)
+        return stalls
+
+    def _retire_local(
+        self, ctx: _CoreContext, refs: _Refs, instructions: int, mode: int
+    ) -> None:
+        """Execute drawn streams on the requesting core and retire them."""
+        stalls = self._replay_refs(ctx.node_id, refs, ctx.tlb)
         if ctx.branch is not None:
-            stalls += ctx.branch.execute(segment.instructions, USER_MODE)
-        ctx.core.retire(segment.instructions, stalls)
+            stalls += ctx.branch.execute(instructions, mode)
+        ctx.core.retire(instructions, stalls)
+
+    def _run_user_segment(self, ctx: _CoreContext, segment: UserSegment) -> None:
+        self._retire_local(
+            ctx, self._draw(ctx, segment), segment.instructions, USER_MODE
+        )
+
+    def _arrival_time(self, ctx: _CoreContext) -> int:
+        """When an off-load from ``ctx`` reaches the OS-core pool.
+
+        Open-loop runs use the absolute clock, so arrivals and the pool's
+        horizons share one clock.  Closed-loop runs keep the legacy local
+        time, which the warm-up counter reset restarts while the pool's
+        horizons persist: the first region-of-interest off-load therefore
+        waits out the horizon the warm-up left behind.
+        """
+        return ctx.core.clock if self._open_loop else ctx.core.now
+
+    def _wait_for_offload(
+        self,
+        ctx: _CoreContext,
+        arrival: int,
+        finish: int,
+        queue_delay: int,
+        migration_cycles: int,
+    ) -> None:
+        """Block until the off-load that reached the pool at ``arrival``
+        returns at ``finish``: a single-threaded core waits it out."""
+        ctx.core.wait_for_offload(
+            finish - arrival,
+            queue_cycles=queue_delay,
+            migration_cycles=migration_cycles,
+        )
 
     def _run_invocation(self, ctx: _CoreContext, invocation: OSInvocation) -> None:
         prof = self.profiler
@@ -424,26 +490,12 @@ class OffloadEngine:
             # The paper's graphs treat register-window traps the way an
             # x86-style ISA would: in-place privileged work, never an
             # off-load candidate (Section IV).
-            t0 = prof.t() if prof.enabled else 0
-            lines, writes = ctx.generator.os_accesses(invocation)
-            code_lines = (
-                ctx.generator.os_code_accesses(invocation)
-                if self.config.enable_icache
-                else None
+            self._retire_local(
+                ctx, self._draw(ctx, invocation), invocation.length, OS_MODE
             )
-            if prof.enabled:
-                t1 = prof.t()
-                prof.add_ns(self._gen_span, t1 - t0)
-            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
-            if code_lines is not None:
-                stalls += self._replay_code(ctx.node_id, code_lines)
-            if prof.enabled:
-                prof.add_ns(self._mem_span, prof.t() - t1)
-            if ctx.branch is not None:
-                stalls += ctx.branch.execute(invocation.length, OS_MODE)
-            ctx.core.retire(invocation.length, stalls)
             return
         offload_stats.os_entries += 1
+        core = ctx.core
         # Open-loop gating: the decided OS entry is a service request
         # that may not begin before its scheduled arrival.  An early
         # core idles until the arrival; a late core has a backlog — the
@@ -453,45 +505,32 @@ class OffloadEngine:
         request_arrival = 0
         queue_before = migration_before = started_at = 0
         if self.latency is not None:
-            request_arrival = self.arrivals.next_arrival(ctx.index)
-            now_abs = self._clock_base[ctx.index] + ctx.core.now
-            if request_arrival > now_abs:
-                ctx.core.idle(request_arrival - now_abs)
+            request_arrival = self.arrivals.next_arrival(ctx.thread_id)
+            if request_arrival > core.clock:
+                core.idle(request_arrival - core.clock)
             else:
-                backlog = now_abs - request_arrival
-            core_stats = ctx.core.stats
-            queue_before = core_stats.queue_cycles
-            migration_before = core_stats.migration_cycles
-            started_at = ctx.core.now
+                backlog = core.clock - request_arrival
+            queue_before = core.stats.queue_cycles
+            migration_before = core.stats.migration_cycles
+            started_at = core.clock
         t0 = prof.t() if prof.enabled else 0
         decision = self.policy.decide(invocation)
         if prof.enabled:
             prof.add_ns(names.SPAN_POLICY_DECIDE, prof.t() - t0)
         if decision.overhead_cycles:
-            ctx.core.pay_decision(decision.overhead_cycles)
+            core.pay_decision(decision.overhead_cycles)
         # The reference streams are drawn before the decision takes
         # effect so RNG consumption is identical across policies.
-        t0 = prof.t() if prof.enabled else 0
-        lines, writes = ctx.generator.os_accesses(invocation)
-        code_lines = (
-            ctx.generator.os_code_accesses(invocation)
-            if self.config.enable_icache
-            else None
-        )
-        if prof.enabled:
-            prof.add_ns(self._gen_span, prof.t() - t0)
+        refs = self._draw(ctx, invocation)
 
         # Admission control (open-loop pools): a rejected invocation
-        # retires on the requesting core instead.  Safe to ask here —
-        # the reference streams above never advance core time, so the
-        # probe sees the same arrival instant ``serve`` would.
+        # retires on the requesting core instead.  Drawing and replaying
+        # the streams never advances core time, so the probe sees the
+        # same arrival instant ``serve`` does.
+        arrival = self._arrival_time(ctx)
         do_offload = decision.offload
         if do_offload and self._admission_enabled:
-            probe = (
-                self._clock_base[ctx.index] + ctx.core.now
-                if self._open_loop else ctx.core.now
-            )
-            if not self.oscore.admit(probe, thread=ctx.index):
+            if not self.oscore.admit(arrival, thread=ctx.thread_id):
                 offload_stats.admission_drops += 1
                 do_offload = False
         migration_cycles = 0
@@ -499,12 +538,7 @@ class OffloadEngine:
             offload_stats.offloads += 1
             offload_stats.offloaded_instructions += invocation.length
             one_way = self.migration.one_way_latency
-            t0 = prof.t() if prof.enabled else 0
-            stalls = self._replay(self.os_node_id, lines, writes, self.os_tlb)
-            if code_lines is not None:
-                stalls += self._replay_code(self.os_node_id, code_lines)
-            if prof.enabled:
-                prof.add_ns(self._mem_span, prof.t() - t0)
+            stalls = self._replay_refs(self.os_node_id, refs, self.os_tlb)
             if self.os_branch is not None:
                 stalls += self.os_branch.execute(invocation.length, OS_MODE)
             # The OS core is occupied for the migration-in window too: it
@@ -517,27 +551,18 @@ class OffloadEngine:
                 + int(invocation.length * self.config.core.base_cpi)
                 + stalls
             )
-            # Closed-loop runs keep the legacy local-clock arrival (the
-            # pool's horizons persist across the warm-up reset exactly
-            # as the single queue's always have); open-loop runs use
-            # absolute time so arrivals and horizons share one clock.
-            if self._open_loop:
-                arrival = self._clock_base[ctx.index] + ctx.core.now
-            else:
-                arrival = ctx.core.now
             t0 = prof.t() if prof.enabled else 0
             start, queue_delay = self.oscore.serve(
-                arrival, service, thread=ctx.index
+                arrival, service, thread=ctx.thread_id
             )
             if prof.enabled:
                 prof.add_ns(names.SPAN_QUEUE, prof.t() - t0)
             self.stats.os_core.instructions += invocation.length
             self.stats.os_core.busy_cycles += service
-            finish = start + service + one_way
-            wait = finish - arrival
             migration_cycles = 2 * one_way
-            ctx.core.wait_for_offload(
-                wait, queue_cycles=queue_delay, migration_cycles=migration_cycles
+            self._wait_for_offload(
+                ctx, arrival, start + service + one_way, queue_delay,
+                migration_cycles,
             )
             if self.bus.enabled:
                 self.bus.emit(MigrationEvent(
@@ -553,20 +578,11 @@ class OffloadEngine:
             if self._queue_hist is not None:
                 self._queue_hist.observe(queue_delay)
         else:
-            t0 = prof.t() if prof.enabled else 0
-            stalls = self._replay(ctx.node_id, lines, writes, ctx.tlb)
-            if code_lines is not None:
-                stalls += self._replay_code(ctx.node_id, code_lines)
-            if prof.enabled:
-                prof.add_ns(self._mem_span, prof.t() - t0)
-            if ctx.branch is not None:
-                stalls += ctx.branch.execute(invocation.length, OS_MODE)
-            ctx.core.retire(invocation.length, stalls)
+            self._retire_local(ctx, refs, invocation.length, OS_MODE)
         if self.latency is not None:
-            core_stats = ctx.core.stats
-            queue = backlog + (core_stats.queue_cycles - queue_before)
-            migration = core_stats.migration_cycles - migration_before
-            total = backlog + (ctx.core.now - started_at)
+            queue = backlog + (core.stats.queue_cycles - queue_before)
+            migration = core.stats.migration_cycles - migration_before
+            total = backlog + (core.clock - started_at)
             execution = total - queue - migration
             total = self.latency.record(queue, migration, execution)
             if self._latency_hist is not None:

@@ -22,13 +22,11 @@ import json
 import os
 from typing import Any, Dict, IO, List, Optional, Tuple
 
+from repro.cache.paths import baselines_dir
 from repro.errors import ReproError
 from repro.runner.jobspec import MANIFEST_FORMAT_VERSION, JobResult
 
 MANIFEST_NAME = "manifest.jsonl"
-
-#: Subdirectory of the checkpoint dir holding persisted baseline runs.
-BASELINES_SUBDIR = "baselines"
 
 
 class CheckpointManifest:
@@ -41,7 +39,8 @@ class CheckpointManifest:
 
     @property
     def baselines_dir(self) -> str:
-        return os.path.join(self.directory, BASELINES_SUBDIR)
+        """Persisted baseline runs, laid out like a cache root's."""
+        return baselines_dir(self.directory)
 
     # ------------------------------------------------------------------
     # reading

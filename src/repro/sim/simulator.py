@@ -1,7 +1,8 @@
 """High-level simulation entry points.
 
 :func:`simulate` runs one (workload, policy, migration, config)
-combination and returns a :class:`SimulationResult`;
+combination and returns a :class:`SimulationResult`; :func:`build_engine`
+is the engine it runs, for callers that need the engine's state too;
 :func:`simulate_baseline` runs the paper's no-off-loading uni-processor
 baseline for the same workload and seed, which every normalized number in
 the evaluation divides by.  :func:`make_policy` builds any of the paper's
@@ -31,7 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanProfiler
 from repro.offload.engine import OffloadEngine
 from repro.offload.migration import AGGRESSIVE, MigrationModel
-from repro.service.arrivals import ArrivalSchedule
+from repro.offload.smt import SMTOffloadEngine
 from repro.service.latency import LatencyStats
 from repro.sim.config import SimulatorConfig
 from repro.sim.stats import SimulationStats
@@ -71,6 +72,35 @@ class SimulationResult:
         return self.throughput / baseline.throughput
 
 
+def build_engine(
+    spec: WorkloadSpec,
+    policy: OffloadPolicy,
+    migration: MigrationModel = AGGRESSIVE,
+    config: Optional[SimulatorConfig] = None,
+    controller: Optional[DynamicThresholdController] = None,
+    bus: Optional["TraceBus"] = None,
+    metrics: Optional["MetricsRegistry"] = None,
+    trace_store: Optional[Any] = None,
+    profiler: Optional["SpanProfiler"] = None,
+) -> OffloadEngine:
+    """The engine :func:`simulate` runs for these arguments.
+
+    Two or more threads per user core select the SMT scheduler
+    (:class:`~repro.offload.smt.SMTOffloadEngine`); otherwise the
+    single-threaded :class:`~repro.offload.engine.OffloadEngine`.
+    """
+    if config is None:
+        config = SimulatorConfig()
+    engine_class = (
+        SMTOffloadEngine if config.threads_per_user_core > 1
+        else OffloadEngine
+    )
+    return engine_class(
+        spec, policy, migration, config, controller,
+        bus=bus, metrics=metrics, trace_store=trace_store, profiler=profiler,
+    )
+
+
 def simulate(
     spec: WorkloadSpec,
     policy: OffloadPolicy,
@@ -97,28 +127,10 @@ def simulate(
     """
     if config is None:
         config = SimulatorConfig()
-    if config.threads_per_user_core > 1:
-        from repro.offload.smt import SMTOffloadEngine
-
-        engine = SMTOffloadEngine(
-            spec, policy, migration, config, controller,
-            bus=bus, metrics=metrics, trace_store=trace_store,
-            profiler=profiler,
-        )
-    else:
-        arrivals = (
-            ArrivalSchedule(
-                config.service, seed=config.seed,
-                threads=config.num_user_cores,
-            )
-            if config.service.open_loop
-            else None
-        )
-        engine = OffloadEngine(
-            spec, policy, migration, config, controller,
-            bus=bus, metrics=metrics, trace_store=trace_store,
-            profiler=profiler, arrivals=arrivals,
-        )
+    engine = build_engine(
+        spec, policy, migration, config, controller,
+        bus=bus, metrics=metrics, trace_store=trace_store, profiler=profiler,
+    )
     stats = engine.run()
     return SimulationResult(
         workload=spec.name,

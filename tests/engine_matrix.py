@@ -17,11 +17,15 @@ runs must agree on
 
 and each run must pass the MESI/fast-map invariant checker.
 
+Engines are built by :func:`~repro.sim.simulator.build_engine`, exactly
+as :func:`~repro.sim.simulator.simulate` builds them, so a cell with
+``threads_per_user_core > 1`` runs the SMT scheduler.
+
 The default tier runs three smoke cells; ``--runslow`` unlocks the full
-matrix — every golden preset, every service golden cell, and a
-Hypothesis property that draws random cells across workloads, policies,
-model features and open-loop service configurations (arrival model ×
-OS-core pool size × dispatch × admission).
+matrix — every golden preset, every service golden cell, an SMT cell,
+and a Hypothesis property that draws random cells across workloads,
+policies, model features and open-loop service configurations (arrival
+model × OS-core pool size × dispatch × admission).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.bus import TraceBus
-from repro.offload.engine import OffloadEngine
 from repro.offload.migration import AGGRESSIVE
 from repro.os_model.interrupts import InterruptModel
 from repro.os_model.traps import WindowTrapModel
@@ -45,7 +48,7 @@ from repro.sim.config import (
     SimulatorConfig,
     TEST_SCALE,
 )
-from repro.sim.simulator import make_policy
+from repro.sim.simulator import build_engine, make_policy
 from repro.workloads.base import MemoryBehavior, WorkloadSpec
 from repro.workloads.presets import get_workload
 
@@ -109,7 +112,7 @@ def matrix_run(
         policy_name, threshold=threshold, spec=spec, config=config
     )
     sink = _ListSink()
-    sim = OffloadEngine(spec, policy, AGGRESSIVE, config, bus=TraceBus(sink))
+    sim = build_engine(spec, policy, AGGRESSIVE, config, bus=TraceBus(sink))
     stats = sim.run()
     sim.hierarchy.check_invariants()
     latency = sim.latency_snapshot()
@@ -200,6 +203,20 @@ def test_matrix_service_cells(tag, seed):
         seed=seed, num_user_cores=2, service=_service_config(tag)
     )
     assert reference["latency"]["requests"] > 0
+
+
+@pytest.mark.slow
+def test_matrix_smt_admission_cell():
+    """Two threads per user core, with every off-load that would queue
+    behind another demoted to local execution by admission control."""
+    reference = assert_matrix_identical(
+        num_user_cores=2,
+        threads_per_user_core=2,
+        enable_icache=True,
+        enable_tlb=True,
+        service=ServiceConfig(admission="backlog", admission_backlog_cycles=0),
+    )
+    assert reference["stats"]["offload"]["admission_drops"] > 0
 
 
 _MB = 1024 * 1024

@@ -8,7 +8,7 @@ from repro.cpu.registers import MASK64, ArchitectedState, PState
 from repro.cpu.tlb import LINES_PER_PAGE, TranslationBuffer
 from repro.errors import ConfigurationError
 from repro.sim.config import CoreConfig
-from repro.sim.stats import CoreStats
+from repro.sim.stats import CoreStats, SimulationStats
 
 
 class TestPState:
@@ -82,6 +82,22 @@ class TestInOrderCore:
         core.stall(7)
         assert core.stats.busy_cycles == 7
         assert core.stats.instructions == 0
+
+    def test_clock_survives_counter_reset(self):
+        stats = SimulationStats(cores=[CoreStats()])
+        core = InOrderCore(CoreConfig(), stats.cores[0])
+        core.retire(100, stall_cycles=40)
+        core.stall(7)
+        core.idle(50)
+        core.pay_decision(5)
+        core.wait_for_offload(1000, queue_cycles=200, migration_cycles=100)
+        assert core.clock == core.now == 1202
+        stats.reset_counters()
+        assert core.now == 0
+        assert core.clock == 1202
+        core.retire(10)
+        assert core.now == 10
+        assert core.clock == 1212
 
 
 class TestTLB:
