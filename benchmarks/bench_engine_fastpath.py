@@ -1,22 +1,25 @@
-"""Bench engine fast path — batched vs. scalar memory engine guard.
+"""Bench engine fast path — batched entry points vs. the spec methods.
 
-The batched engine (``SimulatorConfig.engine="batched"``) must be a pure
-performance substitution: bit-identical counters, faster replay.  This
-bench pins both halves of that contract on one fig. 4 grid cell
-(apache, HI, N=100, aggressive migration):
+``MemoryHierarchy.access_batch`` must be a pure performance substitution
+for folding the one-reference spec method ``MemoryHierarchy.access``:
+bit-identical counters, faster replay.  This bench pins both halves of
+that contract on one fig. 4 grid cell (apache, HI, N=100, aggressive
+migration):
 
-1. **identity** — the cell is simulated with both engines and every
-   ``SimulationStats`` counter is compared;
+1. **identity** — the cell is simulated as the simulator runs it and
+   under :func:`tests.goldens.regen.spec_methods` (every batch entry
+   point folded over its spec method), and every ``SimulationStats``
+   counter is compared;
 2. **fast-path speedup** — the cell's memory reference streams are
    captured, two hierarchies are warmed identically, and the streams
    are filtered to the references that hit the L1 fast map (the
    skew-hot resident working set).  This is the regime the batched
-   engine's whole-batch optimistic tier targets: the acceptance
-   criterion is **>= 3x** over the scalar path;
+   loop's single fast-map probe targets: the acceptance criterion is
+   **>= 3x** over folding ``access``;
 3. **replay speedup** — the *unfiltered* captured streams replayed
    against fresh hierarchies, misses and all.  Amdahl caps this well
-   below the fast-path number (the miss/coherence work is shared by
-   both engines); the guard is a regression floor, not the headline;
+   below the fast-path number (the miss/coherence helpers are shared by
+   both paths); the guard is a regression floor, not the headline;
 4. **end-to-end speedup** — wall time of the whole cell, where replay
    is only part of the engine loop.
 
@@ -34,38 +37,42 @@ import time
 import numpy as np
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.offload.engine import OffloadEngine
 from repro.offload.migration import MigrationModel
 from repro.sim.config import DEFAULT_SCALE
 from repro.sim.simulator import make_policy, simulate
 from repro.workloads.presets import get_workload
+
+from tests.goldens.regen import engine_context
 
 WORKLOAD = "apache"
 THRESHOLD = 100
 ROUNDS = 3
 
 #: (fast-path, full-replay, end-to-end) speedup floors per regime.  The
-#: DEFAULT numbers are the contract (measured ~3.6x / ~1.9x / ~1.3x);
-#: the TEST floors only catch the batched path becoming a pessimisation.
+#: DEFAULT numbers are the contract (medians 3.7x / 2.5x / 1.4x over 12
+#: runs, see docs/performance.md); the TEST floors only catch the
+#: batched path becoming a pessimisation.
 DEFAULT_FLOORS = (3.0, 1.5, 1.05)
 TEST_FLOORS = (2.0, 1.2, 0.85)
 
 
-def _cell_inputs(config, engine):
-    cfg = dataclasses.replace(config, engine=engine)
+def _cell_inputs(config):
     spec = get_workload(WORKLOAD)
     migration = MigrationModel("bench-100", THRESHOLD)
     policy = make_policy(
-        "HI", threshold=THRESHOLD, migration=migration, spec=spec, config=cfg
+        "HI", threshold=THRESHOLD, migration=migration, spec=spec, config=config
     )
-    return spec, policy, migration, cfg
+    return spec, policy, migration
 
 
 def _run_cell(config, engine):
-    spec, policy, migration, cfg = _cell_inputs(config, engine)
-    start = time.perf_counter()
-    result = simulate(spec, policy, migration, cfg)
-    return time.perf_counter() - start, result
+    """Time one cell; ``engine`` is a label of ``tests.goldens.regen``."""
+    spec, policy, migration = _cell_inputs(config)
+    with engine_context(engine):
+        start = time.perf_counter()
+        result = simulate(spec, policy, migration, config)
+        elapsed = time.perf_counter() - start
+    return elapsed, result
 
 
 def _best_cell(config, engine):
@@ -78,20 +85,20 @@ def _best_cell(config, engine):
 
 
 def _capture_streams(config):
-    """One scalar cell run with every ``_replay`` data stream recorded."""
+    """One cell run with every ``access_batch`` data stream recorded."""
     streams = []
-    original = OffloadEngine._replay
+    original = MemoryHierarchy.access_batch
 
-    def recording(self, node_id, lines, writes, tlb):
+    def recording(self, node_id, lines, writes):
         streams.append((node_id, lines.copy(), writes.copy()))
-        return original(self, node_id, lines, writes, tlb)
+        return original(self, node_id, lines, writes)
 
-    OffloadEngine._replay = recording
+    MemoryHierarchy.access_batch = recording
     try:
-        spec, policy, migration, cfg = _cell_inputs(config, "scalar")
-        simulate(spec, policy, migration, cfg)
+        spec, policy, migration = _cell_inputs(config)
+        simulate(spec, policy, migration, config)
     finally:
-        OffloadEngine._replay = original
+        MemoryHierarchy.access_batch = original
     return streams
 
 
@@ -121,8 +128,8 @@ def _fastpath_streams(hierarchy, streams):
     """Filter captured streams to references resident in the warm L1.
 
     Keeps each stream's real skew (the same line recurring within a
-    batch), which is what the optimistic whole-batch tier exploits —
-    a uniform synthetic stream would understate the dedup leverage.
+    batch), so the filtered streams touch the same few hot sets the
+    cell does.
     """
     kept = []
     for node_id, lines, writes in streams:
@@ -164,12 +171,12 @@ def test_batched_engine_fastpath_speedup(config, profile):
     floors = DEFAULT_FLOORS if profile is DEFAULT_SCALE else TEST_FLOORS
     min_fastpath, min_replay, min_cell = floors
 
-    # -- identity: the whole cell, both engines, every counter ----------
+    # -- identity: the whole cell, both runs, every counter -------------
     scalar_cell, scalar_result = _best_cell(config, "scalar")
     batched_cell, batched_result = _best_cell(config, "batched")
     assert dataclasses.asdict(scalar_result.stats) == dataclasses.asdict(
         batched_result.stats
-    ), "batched engine drifted from the scalar reference"
+    ), "batched entry points drifted from the spec methods"
     cell_speedup = scalar_cell / batched_cell
 
     # -- full-stream replay: fresh hierarchies, misses included --------

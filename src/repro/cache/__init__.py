@@ -17,7 +17,6 @@ to the shared root from :func:`~repro.cache.paths.resolve_cache_root`.
 
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
-    PRIMING_SEED_OFFSET,
     prime_key,
     result_key,
     trace_key,
@@ -31,6 +30,7 @@ from repro.cache.paths import (
 )
 from repro.cache.resultstore import ResultStore
 from repro.cache.tracestore import TraceStore
+from repro.workloads.generator import PRIMING_SEED_OFFSET
 
 __all__ = [
     "CACHE_ENV_VAR",

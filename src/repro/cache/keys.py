@@ -20,7 +20,7 @@ Key contents per level:
   stream: the workload spec, the scale profile, the seed, the thread
   id, and whether instruction-fetch streams are drawn
   (``enable_icache`` interleaves extra RNG draws).  Policy, threshold,
-  migration latency, engine and the like are deliberately absent — the
+  migration latency and the like are deliberately absent — the
   generator never sees them, which is what lets every cell of a grid
   replay one materialized trace;
 - **priming keys** cover the same workload/profile/seed identity plus
@@ -28,7 +28,7 @@ Key contents per level:
   enough invocations to prime any policy);
 - **result keys** reuse :func:`~repro.runner.jobspec.config_fingerprint`
   verbatim (plus the job id), so level 2 inherits the runner's
-  outcome-equivalence classes, including the engine-field exclusion.
+  outcome-equivalence classes.
 
 ``CACHE_SCHEMA_VERSION`` is folded into every digest *and* stamped
 into every manifest: bump it on any incompatible layout change and old
@@ -46,10 +46,6 @@ from repro.workloads.base import WorkloadSpec
 
 #: Bump on incompatible changes to the entry layout or key derivation.
 CACHE_SCHEMA_VERSION = 1
-
-#: Seed offset of the policy-priming stream.  Must match the engine's
-#: dedicated priming generator (see ``OffloadEngine._prime_policy``).
-PRIMING_SEED_OFFSET = 7919
 
 TRACE_KIND = "trace"
 PRIME_KIND = "prime"

@@ -3,7 +3,7 @@
 A :class:`~repro.workloads.generator.TraceGenerator` stream is a pure
 function of (workload spec, scale profile, seed, thread id) — none of
 the knobs a grid sweeps (policy, threshold, migration latency, core
-count, engine) reach the generator's RNG.  Every cell of a fig4/fig5
+count) reach the generator's RNG.  Every cell of a fig4/fig5
 grid therefore consumes the *same* per-thread stream, and today each
 cell regenerates it from scratch.
 
@@ -44,7 +44,6 @@ import numpy as np
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     PRIME_KIND,
-    PRIMING_SEED_OFFSET,
     TRACE_KIND,
     prime_key,
     trace_key,
@@ -53,7 +52,11 @@ from repro.cache.paths import TRACES_SUBDIR
 from repro.cpu.registers import ArchitectedState
 from repro.sim.config import ScaleProfile, SimulatorConfig
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
-from repro.workloads.generator import TraceEvent, TraceGenerator
+from repro.workloads.generator import (
+    PRIMING_SEED_OFFSET,
+    TraceEvent,
+    TraceGenerator,
+)
 
 logger = logging.getLogger(__name__)
 

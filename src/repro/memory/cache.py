@@ -51,7 +51,7 @@ class Cache:
         self._sets: List["OrderedDict[int, int]"] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        # Fast-path map for the batched engine, maintained on the (rare)
+        # Fast-path map for the batched replay loop, maintained on the (rare)
         # membership/state-changing paths below.  Keys are
         # ``line << 1`` (present iff the line is resident) and
         # ``(line << 1) | 1`` (present iff resident *and* MODIFIED);
@@ -59,7 +59,7 @@ class Cache:
         # this dict therefore answers "is this access a pure LRU touch?"
         # for both reads (any resident line) and writes (an M line needs
         # no coherence action) and hands back the touch operation itself
-        # — collapsing the scalar path's modulo, set index, state probe
+        # — collapsing the spec path's modulo, set index, state probe
         # and statistics updates into two dict operations per reference.
         self._fast: Dict[int, Callable[[int], None]] = {}
 
@@ -87,17 +87,17 @@ class Cache:
     # batched fast-path support
     # ------------------------------------------------------------------
     #
-    # The batched memory engine (:meth:`MemoryHierarchy.access_batch`)
+    # The batched replay loop (:meth:`MemoryHierarchy.access_batch`)
     # drives whole reference arrays through the per-set ``OrderedDict``
     # structures directly.  The cache contributes the :attr:`fast_map`
     # (see ``_fast`` above) and a bulk statistics sink so the driver can
     # accumulate hit/miss counts in locals and fold them in once per
-    # batch — the counters end up exactly where the scalar path puts
+    # batch — the counters end up exactly where the spec path puts
     # them, just without a Python-level attribute bump per reference.
 
     @property
     def fast_map(self) -> Dict[int, Callable[[int], None]]:
-        """The batched engine's ``{access key: LRU touch}`` map."""
+        """The batched replay loop's ``{access key: LRU touch}`` map."""
         return self._fast
 
     def record_batch(self, hits: int, misses: int) -> None:
@@ -168,8 +168,8 @@ class Cache:
     def lru_snapshot(self) -> List[List[Tuple[int, int]]]:
         """Per-set ``[(line, state), ...]`` lists in LRU→MRU order.
 
-        The engine matrix compares these lists between the scalar and
-        batched runs of a cell: *order* equality is a stronger check
+        The engine matrix compares these lists between the spec-method
+        and batched runs of a cell: *order* equality is a stronger check
         than residency, because two caches that agree here will also
         agree on every future victim.
         """
@@ -185,7 +185,7 @@ class Cache:
         Raises ``AssertionError`` on any divergence; called from the
         hierarchy's invariant checker (and thus the property suites) so
         a maintenance bug in one of the mutation paths above cannot
-        silently turn batched hits into scalar misses or vice versa.
+        silently turn batched hits into spec-path misses or vice versa.
         """
         expected = {}
         for cache_set in self._sets:

@@ -7,12 +7,13 @@ fabric, with independently charged directory-lookup, cache-to-cache
 transfer, and invalidation latencies, mirroring the paper's Section IV
 model.
 
-The scalar public operation is :meth:`MemoryHierarchy.access`, which
-returns the *stall cycles* one access contributes beyond the base CPI;
-:meth:`MemoryHierarchy.access_batch` consumes a whole reference array at
-once and is bit-identical to folding :meth:`access` over it (same stall
-total, same statistics, same final cache/directory state) while running
-several times faster.  The latency schedule is:
+The simulator replays whole reference arrays through
+:meth:`MemoryHierarchy.access_batch` / :meth:`access_code_batch`, which
+return the summed *stall cycles* beyond the base CPI.  The one-reference
+spec methods :meth:`access` / :meth:`access_code` are the executable
+specification: each batch entry point is bit-identical to folding its
+spec method over the array (same stalls, statistics and final
+cache/directory state).  The latency schedule is:
 
 =====================================  ==============================
 L1 hit                                 0 (folded into base CPI)
@@ -90,12 +91,6 @@ class MemoryHierarchy:
         # additions they feed on every L1 miss.
         self._l2_hit_latency = config.l2.hit_latency
         self._l2_dir_latency = config.l2.hit_latency + config.directory_latency
-        # Adaptive gate for the batched engine's whole-batch fast path:
-        # 0 means "try the all-resident probe on the next batch"; a
-        # failed probe sets a back-off so reference streams that always
-        # contain misses stop paying for it.  Purely a performance knob:
-        # both branches produce bit-identical results.
-        self._opt_backoff = 0
         self.directory = Directory(self.coherence)
         self.fabric = PointToPointFabric()
         self.dram = MainMemory(config.dram_latency)
@@ -122,13 +117,37 @@ class MemoryHierarchy:
     def access(self, node_id: int, line: int, is_write: bool) -> int:
         """Perform one data access; return stall cycles beyond base CPI."""
         node = self.nodes[node_id]
+        return self._access(node, node.l1, line, is_write)
+
+    def access_code(self, node_id: int, line: int) -> int:
+        """Fetch one instruction line; return stall cycles.
+
+        Instruction fetch probes the node's L1I; a miss walks the same
+        unified-L2/directory/DRAM path as a data read (code lines are
+        read-shared, so they settle into S/E states and never generate
+        invalidation traffic).  Requires the hierarchy to have been
+        built ``with_icache=True``.
+        """
+        node = self.nodes[node_id]
+        return self._access(node, self._l1i(node), line, False)
+
+    def _access(
+        self, node: CoherenceNode, l1: Cache, line: int, is_write: bool
+    ) -> int:
+        """One reference through ``l1`` (the data L1 or the L1I)."""
         if self.energy is not None:
             self.energy.l1_accesses += 1
-        if node.l1.lookup(line) != INVALID:
+        if l1.lookup(line) != INVALID:
             if is_write:
                 return self._write_hit(node, line)
             return 0
-        return self._miss_fill(node, line, is_write, node.l1)
+        return self._miss_fill(node, line, is_write, l1)
+
+    @staticmethod
+    def _l1i(node: CoherenceNode) -> Cache:
+        if node.l1i is None:
+            raise SimulationError("hierarchy built without instruction caches")
+        return node.l1i
 
     def _write_hit(self, node: CoherenceNode, line: int) -> int:
         """Write to an L1-resident line: handle the MESI state change.
@@ -136,7 +155,7 @@ class MemoryHierarchy:
         The L1 acts as a presence filter, so the authoritative state
         lives in the L2; an S-state write needs a directory upgrade, an
         E-state write transitions silently, and an M-state write is
-        free.  Shared by the scalar and batched paths.
+        free.  Shared by :meth:`_access` and :meth:`_replay_keys`.
         """
         l2_state = node.l2.peek(line)
         if l2_state == SHARED:
@@ -156,8 +175,9 @@ class MemoryHierarchy:
 
         ``l1`` is the cache that missed — the node's data L1, or its L1I
         for an instruction fetch (which never writes, so code lines
-        settle into S/E states).  Shared by the scalar and batched paths
-        so the two cannot drift; returns the access's stall latency.
+        settle into S/E states).  Shared by :meth:`_access` and
+        :meth:`_replay_keys` so the two cannot drift; returns the access's
+        stall latency.
         """
         energy = self.energy
         if energy is not None:
@@ -201,57 +221,57 @@ class MemoryHierarchy:
 
         Bit-identical to folding :meth:`access` over ``(lines, writes)``
         — same stall total, hit/miss/coherence/energy counters, LRU
-        orders and directory state — but several times faster:
+        orders and directory state.
+        """
+        node = self.nodes[node_id]
+        return self._replay_keys(node, node.l1, ((lines << 1) | writes).tolist())
 
-        - access keys ``(line << 1) | is_write`` are computed for the
-          whole array with one vectorized shift/or and converted to
-          Python ints once (``.tolist()``) instead of boxing one numpy
-          scalar per iteration;
-        - a batch whose keys are *all* present in the fast map — every
-          reference an L1 read hit or a write to a MODIFIED line — is
-          detected with one C-level membership sweep and committed by
-          :meth:`_apply_pure_hits` without running the per-reference
-          loop at all; an adaptive back-off stops miss-heavy streams
-          from paying for the probe;
+    def access_code_batch(self, node_id: int, lines: np.ndarray) -> int:
+        """Replay a whole instruction-fetch stream; return summed stalls.
+
+        Bit-identical to folding :meth:`access_code` over ``lines``.
+        Code fetches never write, so their access keys are read keys.
+        """
+        node = self.nodes[node_id]
+        return self._replay_keys(node, self._l1i(node), (lines << 1).tolist())
+
+    def _replay_keys(
+        self, node: CoherenceNode, l1: Cache, keys: List[int]
+    ) -> int:
+        """Fold :meth:`_access` over access keys ``(line << 1) | is_write``.
+
+        Faster than calling :meth:`_access` per reference:
+
+        - the keys are computed for the whole array with one vectorized
+          shift/or and converted to Python ints once (``.tolist()``)
+          instead of boxing one numpy scalar per iteration;
         - the dominant fast cases — a read to any L1-resident line, or a
           write to a MODIFIED one, neither of which takes any coherence
           action — collapse into a single probe of the L1's
           :attr:`Cache.fast_map` that yields the home set's bound
-          ``move_to_end``, i.e. exactly the LRU touch the scalar path
+          ``move_to_end``, i.e. exactly the LRU touch :meth:`_access`
           performs, with hit/miss counts accumulated in locals and
           folded in once per batch (:meth:`Cache.record_batch`);
-        - every slow reference reuses the scalar helpers
-          (:meth:`_write_hit` / :meth:`_miss_fill`), so protocol
-          behaviour cannot drift between the two engines.
+        - every other reference reuses the helpers :meth:`_access`
+          calls (:meth:`_write_hit` / :meth:`_miss_fill`), so the
+          protocol has one encoding.
 
         The write fast path leans on a protocol invariant: an
         L1-resident line's L1 state always mirrors its L2 state (every
         transition site updates both levels), so an L1 write-key —
         maintained from L1 fills and state changes — implies the L2 line
-        is MODIFIED and the scalar :meth:`_write_hit` would be a no-op.
+        is MODIFIED and :meth:`_write_hit` would be a no-op.
         :meth:`check_invariants` verifies both the mirror and the map.
         """
-        n = lines.size
+        n = len(keys)
         if n == 0:
             return 0
-        node = self.nodes[node_id]
-        l1 = node.l1
-        fast = l1.fast_map
-        keys_list = ((lines << 1) | writes).tolist()
-        if self._opt_backoff == 0:
-            distinct = dict.fromkeys(reversed(keys_list))
-            if all(map(fast.__contains__, distinct)):
-                self._apply_pure_hits(l1, distinct, n)
-                return 0
-            self._opt_backoff = 16
-        else:
-            self._opt_backoff -= 1
-        fast_get = fast.get
+        fast_get = l1.fast_map.get
         write_hit = self._write_hit
         miss_fill = self._miss_fill
         misses = 0
         total = 0
-        for key in keys_list:
+        for key in keys:
             move = fast_get(key)
             if move is not None:
                 move(key >> 1)
@@ -260,100 +280,14 @@ class MemoryHierarchy:
             if key & 1:
                 read_move = fast_get(line << 1)
                 if read_move is not None:
-                    # Resident but not MODIFIED: the scalar path's LRU
-                    # touch, then the shared S/E write transition.
+                    # Resident but not MODIFIED: the LRU touch, then the
+                    # S/E write transition.
                     read_move(line)
                     total += write_hit(node, line)
                     continue
             misses += 1
             total += miss_fill(node, line, key & 1, l1)
         l1.record_batch(n - misses, misses)
-        if self.energy is not None:
-            self.energy.l1_accesses += n
-        return total
-
-    def _apply_pure_hits(self, cache: Cache, distinct: Dict[int, None], n: int) -> None:
-        """Commit a batch in which *every* reference hit the fast map.
-
-        ``distinct`` is ``dict.fromkeys`` of the *reversed* access-key
-        stream, i.e. the batch's distinct keys ordered newest last
-        occurrence first.  Such a batch performs no fills, evictions,
-        invalidations or state changes, so the intermediate LRU orders
-        between its references are unobservable — only the final order
-        matters, and that is the distinct lines ranked by last
-        occurrence.  Iterating ``reversed(distinct)`` (oldest last
-        occurrence first) and applying one ``move_to_end`` per key
-        reproduces it exactly: when a line appears as both a read and a
-        write key, the later of its two moves runs last and parks it at
-        the line's true overall position, and ``move_to_end`` never
-        disturbs the relative order of other lines.  One move per
-        distinct key instead of one per reference is the tier's win —
-        the hot streams this engine exists for reference each line ~6
-        times per batch.
-        """
-        fast = cache.fast_map
-        for key in reversed(distinct):
-            fast[key](key >> 1)
-        cache.record_batch(n, 0)
-        if self.energy is not None:
-            self.energy.l1_accesses += n
-
-    def access_code(self, node_id: int, line: int) -> int:
-        """Fetch one instruction line; return stall cycles.
-
-        Instruction fetch probes the node's L1I; a miss walks the same
-        unified-L2/directory/DRAM path as a data read (code lines are
-        read-shared, so they settle into S/E states and never generate
-        invalidation traffic).  Requires the hierarchy to have been
-        built ``with_icache=True``.
-        """
-        node = self.nodes[node_id]
-        l1i = node.l1i
-        if l1i is None:
-            raise SimulationError("hierarchy built without instruction caches")
-        if self.energy is not None:
-            self.energy.l1_accesses += 1
-        if l1i.lookup(line) != INVALID:
-            return 0
-        return self._miss_fill(node, line, False, l1i)
-
-    def access_code_batch(self, node_id: int, lines: np.ndarray) -> int:
-        """Replay a whole instruction-fetch stream; return summed stalls.
-
-        The code analogue of :meth:`access_batch`: bit-identical to
-        folding :meth:`access_code` over ``lines``.  Code fetches never
-        write, so every reference is either a fast-map LRU touch or an
-        L1I miss escalating to :meth:`_miss_fill`.
-        """
-        n = lines.size
-        if n == 0:
-            return 0
-        node = self.nodes[node_id]
-        l1i = node.l1i
-        if l1i is None:
-            raise SimulationError("hierarchy built without instruction caches")
-        fast = l1i.fast_map
-        keys_list = (lines << 1).tolist()
-        if self._opt_backoff == 0:
-            distinct = dict.fromkeys(reversed(keys_list))
-            if all(map(fast.__contains__, distinct)):
-                self._apply_pure_hits(l1i, distinct, lines.size)
-                return 0
-            self._opt_backoff = 16
-        else:
-            self._opt_backoff -= 1
-        fast_get = fast.get
-        miss_fill = self._miss_fill
-        misses = 0
-        total = 0
-        for key in keys_list:
-            move = fast_get(key)
-            if move is not None:
-                move(key >> 1)
-                continue
-            misses += 1
-            total += miss_fill(node, key >> 1, False, l1i)
-        l1i.record_batch(n - misses, misses)
         if self.energy is not None:
             self.energy.l1_accesses += n
         return total
@@ -460,8 +394,8 @@ class MemoryHierarchy:
         1. Directory sharer sets exactly match L2 residency.
         2. A line in M or E anywhere is resident in exactly one L2.
         3. L1 contents are a subset of the same node's L2 (inclusion).
-        4. An L1/L1I-resident line's state mirrors its L2 state (the
-           invariant the batched engine's write fast path leans on).
+        4. An L1-resident line's state mirrors its L2 state (the
+           invariant the batched write fast path leans on).
         5. Every cache's fast map mirrors its residency and M states.
         """
         residency: Dict[int, List[int]] = {}

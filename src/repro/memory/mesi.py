@@ -16,10 +16,10 @@ and enforces the protocol invariants:
 - a line in S may be in several caches, all in S;
 - the directory's sharer set exactly matches the caches holding the line.
 
-Both memory engines (``scalar`` and ``batched``) reach the directory
-only through the hierarchy's shared miss and upgrade helpers, so every
+The hierarchy's spec methods and its batched replay loop reach the
+directory only through the shared miss and upgrade helpers, so every
 protocol transition has a single encoding; the engine matrix checks
-the two engines against each other on final directory state
+the two paths against each other on final directory state
 (:meth:`Directory.snapshot`).
 """
 
@@ -137,7 +137,7 @@ class Directory:
 
         Entries with no sharers (created by :meth:`peek` probes) are
         omitted, so the snapshot depends only on protocol transitions.
-        The differential engine tests assert that a scalar and a batched
+        The differential tests assert that a spec-method and a batched
         run of the same cell end with *equal snapshots* — a stronger
         bit-identity check than comparing counters alone.
         """

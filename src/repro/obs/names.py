@@ -100,6 +100,7 @@ SPAN_SIM_ROI = "sim.roi"
 SPAN_GEN_GENERATE = "sim.trace.generate"
 SPAN_GEN_REPLAY = "sim.trace.replay"
 SPAN_MEM_BATCHED = "sim.mem.batched"
+# Never emitted; kept only because perfbench/run.py reads it (the next benchmark change can drop it).
 SPAN_MEM_SCALAR = "sim.mem.scalar"
 # Never emitted; kept only because perfbench/run.py reads it (the next benchmark change can drop it).
 SPAN_MEM_COLUMNAR = "sim.mem.columnar"
@@ -123,7 +124,6 @@ SPAN_NAMES = frozenset({
     SPAN_GEN_GENERATE,
     SPAN_GEN_REPLAY,
     SPAN_MEM_BATCHED,
-    SPAN_MEM_SCALAR,
     SPAN_QUEUE,
     SPAN_POLICY_DECIDE,
 })
@@ -241,7 +241,6 @@ __all__ = [
     "SPAN_GEN_GENERATE",
     "SPAN_GEN_REPLAY",
     "SPAN_MEM_BATCHED",
-    "SPAN_MEM_SCALAR",
     "SPAN_QUEUE",
     "SPAN_POLICY_DECIDE",
     "SPAN_NAMES",

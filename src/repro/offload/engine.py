@@ -63,7 +63,11 @@ from repro.service.latency import LatencyAccumulator, LatencyStats
 from repro.sim.config import SimulatorConfig
 from repro.sim.stats import CoreStats, SimulationStats
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
-from repro.workloads.generator import TraceEvent, TraceGenerator
+from repro.workloads.generator import (
+    PRIMING_SEED_OFFSET,
+    TraceEvent,
+    TraceGenerator,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -161,17 +165,11 @@ class OffloadEngine:
         self.bus = bus if bus is not None else NULL_BUS
         self.metrics = metrics
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._batched = config.engine == "batched"
-        # Span names are fixed at construction: generation time is
-        # attributed to replay vs. regeneration by store presence, and
-        # memory time to the engine variant actually running.
+        # Generation time is attributed to replay vs. regeneration by
+        # store presence, fixed at construction.
         self._gen_span = (
             names.SPAN_GEN_REPLAY if trace_store is not None
             else names.SPAN_GEN_GENERATE
-        )
-        self._mem_span = (
-            names.SPAN_MEM_BATCHED if self._batched
-            else names.SPAN_MEM_SCALAR
         )
         if controller is not None and controller.bus is NULL_BUS:
             controller.bus = self.bus
@@ -346,7 +344,8 @@ class OffloadEngine:
             )
         else:
             generator = TraceGenerator(
-                self.spec, self.config.profile, seed=self.config.seed + 7919
+                self.spec, self.config.profile,
+                seed=self.config.seed + PRIMING_SEED_OFFSET,
             )
             events = generator.events(2 ** 62)
         include_traps = self.config.include_window_traps
@@ -430,15 +429,23 @@ class OffloadEngine:
     def _replay_refs(
         self, node_id: int, refs: _Refs, tlb: Optional[TranslationBuffer]
     ) -> int:
-        """Replay drawn streams through one node's caches; sum the stalls."""
+        """Replay drawn streams through one node's caches; sum the stalls.
+
+        The TLB translates the data stream after the hierarchy has
+        replayed it instead of reference by reference, which is
+        unobservable: the two structures share no state and nothing
+        reads counters mid-event.
+        """
         prof = self.profiler
         t0 = prof.t() if prof.enabled else 0
         lines, writes, code_lines = refs
-        stalls = self._replay(node_id, lines, writes, tlb)
+        stalls = self.hierarchy.access_batch(node_id, lines, writes)
+        if tlb is not None:
+            stalls += tlb.access_batch(lines)
         if code_lines is not None:
-            stalls += self._replay_code(node_id, code_lines)
+            stalls += self.hierarchy.access_code_batch(node_id, code_lines)
         if prof.enabled:
-            prof.add_ns(self._mem_span, prof.t() - t0)
+            prof.add_ns(names.SPAN_MEM_BATCHED, prof.t() - t0)
         return stalls
 
     def _retire_local(
@@ -718,53 +725,6 @@ class OffloadEngine:
         return self.latency.snapshot(
             drops=self.stats.offload.admission_drops
         )
-
-    def _replay(
-        self,
-        node_id: int,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        tlb: Optional[TranslationBuffer],
-    ) -> int:
-        """Replay a reference stream through the hierarchy; sum the stalls.
-
-        The batched engine hands the whole array to
-        :meth:`MemoryHierarchy.access_batch` (and the TLB's batch
-        translator).  Stall totals, counters, and structure states match
-        the scalar loop exactly; the only reordering is that all TLB
-        translations happen before the memory accesses instead of
-        interleaved with them, which is unobservable — the two
-        structures share no state and nothing reads counters mid-event.
-        """
-        if self._batched:
-            total = self.hierarchy.access_batch(node_id, lines, writes)
-            if tlb is not None:
-                total += tlb.access_batch(lines)
-            return total
-        access = self.hierarchy.access
-        total = 0
-        # memoryview iteration yields native Python ints/bools like
-        # ``.tolist()`` does, without building the intermediate lists.
-        line_view = memoryview(lines)
-        write_view = memoryview(writes)
-        if tlb is None:
-            for line, is_write in zip(line_view, write_view):
-                total += access(node_id, line, is_write)
-        else:
-            translate = tlb.access_line
-            for line, is_write in zip(line_view, write_view):
-                total += translate(line) + access(node_id, line, is_write)
-        return total
-
-    def _replay_code(self, node_id: int, lines: np.ndarray) -> int:
-        """Replay an instruction-fetch stream through the L1I path."""
-        if self._batched:
-            return self.hierarchy.access_code_batch(node_id, lines)
-        access_code = self.hierarchy.access_code
-        total = 0
-        for line in memoryview(lines):
-            total += access_code(node_id, line)
-        return total
 
     # ------------------------------------------------------------------
     # dynamic-N epochs

@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import tempfile
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.runner.jobspec import config_fingerprint
 from repro.sim.config import SimulatorConfig
@@ -34,16 +34,12 @@ class BaselineStore:
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._memo: Dict[Tuple[str, str], float] = {}
 
     def _path(self, workload: str, config: SimulatorConfig) -> str:
         name = f"baseline-{workload}-{config_fingerprint(config)}.json"
         return os.path.join(self.directory, name)
 
     def get(self, workload: str, config: SimulatorConfig) -> Optional[float]:
-        key = (workload, config_fingerprint(config))
-        if key in self._memo:
-            return self._memo[key]
         try:
             with open(self._path(workload, config)) as handle:
                 record = json.load(handle)
@@ -53,12 +49,9 @@ class BaselineStore:
             # A half-written or corrupt entry is recomputed, not fatal.
             logger.warning("ignoring unreadable baseline entry: %s", error)
             return None
-        value = float(record["throughput"])
-        self._memo[key] = value
-        return value
+        return float(record["throughput"])
 
     def put(self, workload: str, config: SimulatorConfig, throughput: float) -> None:
-        self._memo[(workload, config_fingerprint(config))] = throughput
         path = self._path(workload, config)
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=".baseline-", suffix=".tmp"

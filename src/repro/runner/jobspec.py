@@ -161,7 +161,6 @@ _CONFIG_SCALARS = (
     "track_energy",
     "policy_priming_invocations",
     "include_window_traps",
-    "engine",
 )
 
 #: Structured SimulatorConfig fields serialised as nested dataclass
@@ -174,14 +173,6 @@ _CONFIG_STRUCTURED = (
     "memory",
     "service",
 )
-
-#: Payload keys that select an implementation rather than an outcome.
-#: ``engine`` picks between the scalar and batched memory engines, which
-#: are bit-identical by contract (enforced by the golden and property
-#: suites), so it is excluded from fingerprints: baseline caches and
-#: checkpoints stay valid across engine switches, and manifests written
-#: before the field existed keep resuming cleanly.
-_NON_OUTCOME_KEYS = ("engine",)
 
 
 def config_to_payload(config: SimulatorConfig) -> Dict[str, Any]:
@@ -204,6 +195,7 @@ def config_from_payload(payload: Dict[str, Any]) -> SimulatorConfig:
     memory = dict(payload["memory"])
     for level in ("l1", "l1i", "l2"):
         memory[level] = CacheConfig(**memory[level])
+    # Keys outside _CONFIG_SCALARS (e.g. the retired ``engine``) are ignored.
     scalars = {
         name: payload[name] for name in _CONFIG_SCALARS if name in payload
     }
@@ -222,17 +214,9 @@ def config_from_payload(payload: Dict[str, Any]) -> SimulatorConfig:
     )
 
 
-def _outcome_payload(config: SimulatorConfig) -> Dict[str, Any]:
-    """The configuration payload restricted to outcome-determining keys."""
-    payload = config_to_payload(config)
-    for key in _NON_OUTCOME_KEYS:
-        payload.pop(key, None)
-    return payload
-
-
 def config_fingerprint(config: SimulatorConfig) -> str:
     """Short stable hash of a configuration (keys baseline cache files)."""
-    blob = json.dumps(_outcome_payload(config), sort_keys=True)
+    blob = json.dumps(config_to_payload(config), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -243,7 +227,7 @@ def batch_fingerprint(job_ids: List[str], config: SimulatorConfig) -> str:
     manifest can never silently satisfy a *different* grid.
     """
     blob = json.dumps(
-        {"jobs": sorted(job_ids), "config": _outcome_payload(config)},
+        {"jobs": sorted(job_ids), "config": config_to_payload(config)},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -34,9 +34,6 @@ from repro.service.config import ServiceConfig
 KB = 1024
 MB = 1024 * 1024
 
-#: Valid values for :attr:`SimulatorConfig.engine`.
-ENGINE_MODES = frozenset({"scalar", "batched"})
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -276,16 +273,6 @@ class SimulatorConfig:
     #: graphs where they skew results substantially from what would be
     #: seen on an alternative architecture", Section IV).
     include_window_traps: bool = True
-    #: Memory-engine implementation driving reference streams through
-    #: the hierarchy.  ``"batched"`` (default) consumes each event's
-    #: whole reference array at once (whole-batch commit over the L1
-    #: fast map, shared scalar helpers for everything else);
-    #: ``"scalar"`` is the one-reference-per-iteration reference
-    #: implementation.  The two are bit-identical — same statistics,
-    #: trace events, and metrics — which the golden, engine-matrix and
-    #: property suites enforce, so this knob only selects speed, never
-    #: results.
-    engine: str = "batched"
     #: Open-loop service mode: arrival model, offered load, OS-core
     #: pool size/dispatch, and admission control (see
     #: :class:`repro.service.config.ServiceConfig`).  The default is
@@ -301,17 +288,21 @@ class SimulatorConfig:
             raise ConfigurationError("need at least one thread per user core")
         if self.os_core_contexts < 1:
             raise ConfigurationError("the OS core needs at least one context")
-        if self.engine not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"engine must be one of {sorted(ENGINE_MODES)}, "
-                f"got {self.engine!r}"
-            )
         if self.threads_per_user_core > 1 and self.service.open_loop:
             raise ConfigurationError(
                 "open-loop service arrivals require single-threaded user "
                 "cores (the SMT engine's blocked-switch scheduler has no "
                 "arrival gating)"
             )
+
+    @property
+    def engine(self) -> str:
+        """Always ``"batched"``: the memory engine is no longer selectable.
+
+        Kept only because perfbench/run.py records it (the next benchmark
+        change can drop it).
+        """
+        return "batched"
 
     def effective_memory(self) -> MemorySystemConfig:
         """Memory config with the profile's cache scaling applied."""

@@ -5,14 +5,14 @@ counters) so that the hot simulation loop can bump them without hashing,
 and so that typos fail loudly as ``AttributeError`` instead of silently
 creating new keys.
 
-Mutation discipline: the batched engine may *fold* many scalar bumps
-into one ``+= n`` (``Cache.record_batch``, its per-batch energy
-updates), but every fold must land on the same counter the scalar path
-bumps — never a new shadow counter — so both engines remain
-bit-comparable attribute by attribute.  The simlint P201 parity rule
-checks the reachable-mutation *sets* of the scalar and batched entry
-points statically; folding preserves the set, which is why grouped
-commits pass while dropping a counter from one path fails.
+Mutation discipline: the batched replay loop may *fold* many
+per-reference bumps into one ``+= n`` (``Cache.record_batch``, its
+per-batch energy updates), but every fold must land on the same counter
+the one-reference spec methods bump — never a new shadow counter — so
+both paths remain bit-comparable attribute by attribute.  The simlint
+P201 parity rule checks the reachable-mutation *sets* of the spec and
+batched entry points statically; folding preserves the set, which is
+why grouped commits pass while dropping a counter from one path fails.
 """
 
 from __future__ import annotations

@@ -68,6 +68,11 @@ ENTRY_PATH_REFS = 10
 #: marshalling and re-touched densely by subsequent user code.
 STACK_LINES = 8
 
+#: Seed offset of the policy-priming stream: learning policies are
+#: primed from a generator seeded ``seed + PRIMING_SEED_OFFSET``, so
+#: priming never consumes the timed trace's random streams.
+PRIMING_SEED_OFFSET = 7919
+
 TraceEvent = Union[UserSegment, OSInvocation]
 
 

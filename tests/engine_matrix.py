@@ -1,9 +1,11 @@
-"""Engine matrix: scalar × batched, differentially.
+"""Engine matrix: spec methods × batched entry points, differentially.
 
-The golden suite pins each engine against committed numbers; this
-harness pins the engines against *each other*, on deeper state than any
-golden records.  Every cell is simulated once per engine and the two
-runs must agree on
+The golden suite pins both runs against committed numbers; this
+harness pins them against *each other*, on deeper state than any
+golden records.  Every cell is simulated once under
+:func:`~tests.goldens.regen.spec_methods` (the ``scalar`` run, every
+reference through ``MemoryHierarchy.access``/``access_code``) and once
+as the simulator runs (``batched``), and the two runs must agree on
 
 - every counter in ``SimulationStats`` (as nested dicts),
 - the full trace-event stream, record for record (decision, migration,
@@ -52,9 +54,13 @@ from repro.sim.simulator import build_engine, make_policy
 from repro.workloads.base import MemoryBehavior, WorkloadSpec
 from repro.workloads.presets import get_workload
 
-from tests.goldens.regen import GOLDEN_CELLS, SERVICE_CELLS, SERVICE_SEEDS
-
-ENGINES = ("scalar", "batched")
+from tests.goldens.regen import (
+    ENGINES,
+    GOLDEN_CELLS,
+    SERVICE_CELLS,
+    SERVICE_SEEDS,
+    engine_context,
+)
 
 #: Facets compared across engines, in failure-message order.
 FACETS = ("stats", "events", "latency", "directory", "caches")
@@ -94,7 +100,7 @@ def matrix_run(
     service: ServiceConfig = None,
     **config_kwargs: Any,
 ) -> Dict[str, Any]:
-    """Run one cell on one engine; return its comparable facets.
+    """Run one cell as the ``engine`` run; return its comparable facets.
 
     ``workload`` is a preset name or a literal :class:`WorkloadSpec`,
     so purpose-built cells (e.g. the miss-heavy cold-start spec below)
@@ -103,7 +109,6 @@ def matrix_run(
     config = SimulatorConfig(
         profile=TEST_SCALE,
         seed=seed,
-        engine=engine,
         service=service if service is not None else ServiceConfig(),
         **config_kwargs,
     )
@@ -113,7 +118,8 @@ def matrix_run(
     )
     sink = _ListSink()
     sim = build_engine(spec, policy, AGGRESSIVE, config, bus=TraceBus(sink))
-    stats = sim.run()
+    with engine_context(engine):
+        stats = sim.run()
     sim.hierarchy.check_invariants()
     latency = sim.latency_snapshot()
     caches = []
@@ -133,7 +139,7 @@ def matrix_run(
 
 
 def assert_matrix_identical(**cell_kwargs: Any) -> Dict[str, Any]:
-    """Run a cell on both engines; fail on the first facet drift.
+    """Run a cell both ways; fail on the first facet drift.
 
     Returns the scalar reference run so callers can assert cell-shape
     properties (e.g. that an open-loop cell actually recorded requests).
@@ -142,7 +148,7 @@ def assert_matrix_identical(**cell_kwargs: Any) -> Dict[str, Any]:
     reference = runs["scalar"]
     for facet in FACETS:
         assert runs["batched"][facet] == reference[facet], (
-            f"engine 'batched' diverged from scalar on {facet!r} "
+            f"batched run diverged from the spec methods on {facet!r} "
             f"for cell {cell_kwargs!r}"
         )
     return reference

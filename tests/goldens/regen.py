@@ -1,12 +1,17 @@
 """Golden-trace snapshots: regenerate the committed SimulationStats JSONs.
 
 Each golden pins the *complete* ``SimulationStats`` of one simulated
-cell — every cache/core/coherence/predictor/offload counter — for the
-scalar reference engine at ``TEST_SCALE``.  The suite in
-``tests/test_goldens.py`` replays the same cells through **both**
-engines and fails with a per-counter diff on any drift, so a behaviour
+cell — every cache/core/coherence/predictor/offload counter — as
+computed by the memory hierarchy's one-reference *spec methods* at
+``TEST_SCALE``.  The suite in ``tests/test_goldens.py`` replays the same
+cells on the spec methods and on the batched entry points the simulator
+runs, and fails with a per-counter diff on any drift, so a behaviour
 change in the memory model cannot slip through as a plausible-looking
 number.
+
+:func:`spec_methods` is the switch every differential suite shares: it
+turns the batch entry points into plain folds of their spec methods for
+the duration of a ``with`` block.
 
 Regenerate (only after an intentional model change, with the diff
 reviewed counter by counter)::
@@ -30,13 +35,18 @@ overlaps one thread's off-load with its sibling's execution.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import pathlib
 import sys
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, ContextManager, Dict, Iterator, Tuple
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
+
+#: Run labels of the differential suites: ``"scalar"`` runs under
+#: :func:`spec_methods`, ``"batched"`` runs the simulator unmodified.
+ENGINES: Tuple[str, ...] = ("scalar", "batched")
 
 #: (workload preset, root seed) per golden; two seeds per preset so a
 #: seed-handling regression cannot cancel out in a single stream.
@@ -78,6 +88,58 @@ SMT_CELLS: Tuple[Tuple[str, str, int, int], ...] = (
 SMT_SEEDS: Tuple[int, ...] = (2010, 7)
 
 
+@contextlib.contextmanager
+def spec_methods() -> Iterator[None]:
+    """Run every memory batch entry point as a fold of its spec method.
+
+    While active, ``MemoryHierarchy.access_batch`` folds ``access``,
+    ``MemoryHierarchy.access_code_batch`` folds ``access_code`` and
+    ``TranslationBuffer.access_batch`` folds ``access_line`` over their
+    arrays, one reference per call, so a simulation replays every
+    reference through the executable specification.  The original
+    methods are restored on exit.
+    """
+    from repro.cpu.tlb import TranslationBuffer
+    from repro.memory.hierarchy import MemoryHierarchy
+
+    def access_batch(self: Any, node_id: int, lines: Any, writes: Any) -> int:
+        access = self.access
+        return sum(
+            access(node_id, line, is_write)
+            for line, is_write in zip(lines.tolist(), writes.tolist())
+        )
+
+    def access_code_batch(self: Any, node_id: int, lines: Any) -> int:
+        access_code = self.access_code
+        return sum(access_code(node_id, line) for line in lines.tolist())
+
+    def translate_batch(self: Any, lines: Any) -> int:
+        return sum(map(self.access_line, lines.tolist()))
+
+    folds = (
+        (MemoryHierarchy, "access_batch", access_batch),
+        (MemoryHierarchy, "access_code_batch", access_code_batch),
+        (TranslationBuffer, "access_batch", translate_batch),
+    )
+    originals = [(owner, name, owner.__dict__[name]) for owner, name, _ in folds]
+    for owner, name, fold in folds:
+        setattr(owner, name, fold)
+    try:
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def engine_context(engine: str) -> ContextManager[None]:
+    """The context a differential run labelled ``engine`` executes in."""
+    if engine == "scalar":
+        return spec_methods()
+    if engine == "batched":
+        return contextlib.nullcontext()
+    raise ValueError(f"engine label must be one of {ENGINES}, got {engine!r}")
+
+
 def golden_path(workload: str, seed: int) -> pathlib.Path:
     return GOLDEN_DIR / f"{workload}_seed{seed}.json"
 
@@ -95,22 +157,25 @@ def run_cell(
 ) -> Dict[str, Any]:
     """Simulate one golden cell; return its stats as a plain dict.
 
-    ``trace_store`` (a :class:`repro.cache.TraceStore`) lets the cache
-    suite assert that replaying a materialized trace reproduces these
-    exact goldens.
+    ``engine`` is a label from :data:`ENGINES`.  ``trace_store`` (a
+    :class:`repro.cache.TraceStore`) lets the cache suite assert that
+    replaying a materialized trace reproduces these exact goldens.
     """
     from repro.offload.migration import MigrationModel
     from repro.sim.config import SimulatorConfig, TEST_SCALE
     from repro.sim.simulator import make_policy, simulate
     from repro.workloads.presets import get_workload
 
-    config = SimulatorConfig(profile=TEST_SCALE, seed=seed, engine=engine)
+    config = SimulatorConfig(profile=TEST_SCALE, seed=seed)
     spec = get_workload(workload)
     migration = MigrationModel("golden-100", 100)
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    result = simulate(spec, policy, migration, config, trace_store=trace_store)
+    with engine_context(engine):
+        result = simulate(
+            spec, policy, migration, config, trace_store=trace_store
+        )
     return dataclasses.asdict(result.stats)
 
 
@@ -136,7 +201,6 @@ def run_service_cell(
     config = SimulatorConfig(
         profile=TEST_SCALE,
         seed=seed,
-        engine=engine,
         num_user_cores=2,
         service=ServiceConfig(
             arrivals=arrivals,
@@ -150,7 +214,10 @@ def run_service_cell(
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    result = simulate(spec, policy, migration, config, trace_store=trace_store)
+    with engine_context(engine):
+        result = simulate(
+            spec, policy, migration, config, trace_store=trace_store
+        )
     return {
         "stats": dataclasses.asdict(result.stats),
         "latency": result.latency.to_dict(),
@@ -172,7 +239,6 @@ def run_smt_cell(
     config = SimulatorConfig(
         profile=TEST_SCALE,
         seed=seed,
-        engine=engine,
         num_user_cores=user_cores,
         threads_per_user_core=2,
     )
@@ -181,7 +247,10 @@ def run_smt_cell(
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    result = simulate(spec, policy, migration, config, trace_store=trace_store)
+    with engine_context(engine):
+        result = simulate(
+            spec, policy, migration, config, trace_store=trace_store
+        )
     return dataclasses.asdict(result.stats)
 
 

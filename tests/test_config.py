@@ -108,12 +108,10 @@ class TestSimulatorConfig:
     def test_window_traps_included_by_default(self):
         assert SimulatorConfig().include_window_traps is True
 
-    def test_engine_is_scalar_or_batched(self):
+    def test_engine_is_a_read_only_shim(self):
         assert SimulatorConfig().engine == "batched"
-        assert SimulatorConfig(engine="scalar").engine == "scalar"
-        with pytest.raises(ConfigurationError) as excinfo:
-            SimulatorConfig(engine="columnar")
-        assert "['batched', 'scalar']" in str(excinfo.value)
+        with pytest.raises(TypeError):
+            SimulatorConfig(engine="scalar")
 
 
 class TestTable2:

@@ -1,14 +1,16 @@
 """Golden-trace regression suite.
 
 Every committed golden under ``tests/goldens/`` pins the full
-``SimulationStats`` of one cell for the scalar reference engine.  The
-tests replay each cell through both engines and compare counter by
+``SimulationStats`` of one cell as computed by the memory hierarchy's
+one-reference spec methods.  The tests replay each cell twice — once
+under :func:`~tests.goldens.regen.spec_methods` (the ``scalar`` run)
+and once as the simulator runs (``batched``) — and compare counter by
 counter, so they catch two distinct failure modes:
 
 - *model drift*: any change to the memory/offload model silently moving
   a counter (scalar run vs. golden);
-- *engine divergence*: the batched fast path disagreeing with the
-  scalar reference on any counter (batched run vs. the same golden).
+- *batch divergence*: the batched entry points disagreeing with the
+  spec methods on any counter (batched run vs. the same golden).
 
 On drift the failure message lists every differing counter as a
 ``dot.path: golden -> actual`` line.  If the change was intentional,
@@ -23,6 +25,7 @@ import json
 import pytest
 
 from tests.goldens.regen import (
+    ENGINES,
     GOLDEN_CELLS,
     SERVICE_CELLS,
     SERVICE_SEEDS,
@@ -36,8 +39,6 @@ from tests.goldens.regen import (
     service_golden_path,
     smt_golden_path,
 )
-
-ENGINES = ("scalar", "batched")
 
 
 def _diff_lines(golden, actual):

@@ -165,9 +165,8 @@ def test_parity_rule_catches_counter_removed_from_batched_path(tmp_path):
     (tmp_path / "memory").mkdir()
     shutil.copy(package / "sim" / "stats.py", tmp_path / "sim" / "stats.py")
     hierarchy = (package / "memory" / "hierarchy.py").read_text()
-    # Drop the energy accounting from every batched-path site (the
-    # whole-batch commit in access_batch AND the pure-hit fast path);
-    # the scalar path's per-access bump survives.
+    # Drop the energy accounting from the batched path (the per-batch
+    # commit in _replay_keys); the spec path's per-access bump survives.
     mutated = hierarchy.replace("self.energy.l1_accesses += n", "pass")
     assert mutated != hierarchy, "mutation target not found in hierarchy.py"
     (tmp_path / "memory" / "hierarchy.py").write_text(mutated)

@@ -1,10 +1,11 @@
-"""Property-based differential tests: batched ≡ scalar.
+"""Property-based differential tests: batched ≡ spec methods.
 
-The batched engine in :class:`repro.memory.hierarchy.MemoryHierarchy`
-claims *bit identity* with the scalar reference implementation.  The
-golden suite pins fixed cells; this module lets Hypothesis pick the
+The batch entry points of :class:`repro.memory.hierarchy.MemoryHierarchy`
+claim *bit identity* with folding their one-reference spec methods.
+The golden suite pins fixed cells; this module lets Hypothesis pick the
 cell — workload, policy, seed, model features, core counts — and then
-demands that the engines agree on
+demands that a run under :func:`~tests.goldens.regen.spec_methods` and
+an unmodified run agree on
 
 - every counter in ``SimulationStats`` (compared as nested dicts),
 - the full decision/trace event stream, record for record,
@@ -30,6 +31,8 @@ from repro.sim.config import CacheConfig, MemorySystemConfig, SimulatorConfig, T
 from repro.sim.simulator import make_policy, simulate
 from repro.workloads.presets import get_workload
 
+from tests.goldens.regen import engine_context
+
 
 class _ListSink:
     def __init__(self):
@@ -43,13 +46,12 @@ class _ListSink:
 
 
 def _run(engine, workload, policy_name, seed, **config_kwargs):
-    config = SimulatorConfig(
-        profile=TEST_SCALE, seed=seed, engine=engine, **config_kwargs
-    )
+    config = SimulatorConfig(profile=TEST_SCALE, seed=seed, **config_kwargs)
     spec = get_workload(workload)
     policy = make_policy(policy_name, threshold=100, spec=spec, config=config)
     sink = _ListSink()
-    result = simulate(spec, policy, config=config, bus=TraceBus(sink))
+    with engine_context(engine):
+        result = simulate(spec, policy, config=config, bus=TraceBus(sink))
     return result, sink.records
 
 

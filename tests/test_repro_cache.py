@@ -78,7 +78,7 @@ def test_cached_replay_batched_engine_matches_goldens(tmp_path):
     committed = json.loads(golden_path(workload, seed).read_text())
     store = TraceStore(_store_root(tmp_path))
     assert run_cell(workload, seed, "batched", trace_store=store) == committed
-    # The same entries replay into the scalar engine unchanged.
+    # The same entries replay onto the spec methods unchanged.
     assert run_cell(workload, seed, "scalar", trace_store=store) == committed
 
 

@@ -24,6 +24,7 @@ from repro.runner import (
     BatchInterrupted,
     JobSpec,
     batch_fingerprint,
+    config_fingerprint,
     config_from_payload,
     config_to_payload,
     derive_seed,
@@ -116,6 +117,17 @@ class TestConfigPayload:
         assert batch_fingerprint(ids, CONFIG) == batch_fingerprint(ids, CONFIG)
         assert batch_fingerprint(ids, CONFIG) != batch_fingerprint(ids, other)
         assert batch_fingerprint(ids, CONFIG) != batch_fingerprint(ids[:1], CONFIG)
+
+    def test_fingerprints_are_pinned(self):
+        # Checkpoint manifests, baseline files and result-cache entries
+        # are keyed by these values; a change orphans all of them.
+        assert config_fingerprint(SimulatorConfig()) == "5414e2abdae3b7c4"
+        assert config_fingerprint(CONFIG) == "85a225b8a4f5ea2b"
+
+    def test_payload_with_retired_engine_key_still_loads(self):
+        payload = config_to_payload(CONFIG)
+        payload["engine"] = "scalar"
+        assert config_from_payload(payload) == CONFIG
 
 
 class TestShardJobs:
