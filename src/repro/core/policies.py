@@ -61,9 +61,14 @@ class OffloadPolicy(abc.ABC):
     ``threshold`` is the trigger N (instructions); policies that do not
     use a threshold (baseline, SI) ignore writes to it, which lets the
     dynamic-N controller drive any policy uniformly.
+
+    ``learns`` declares whether :meth:`observe` feeds history into later
+    decisions.  The engine primes only policies that learn: for the
+    others a priming pass would generate a trace and change nothing.
     """
 
     name: str = "abstract"
+    learns: bool = True
 
     def __init__(self, threshold: int = 1000) -> None:
         if threshold < 0:
@@ -82,6 +87,7 @@ class NeverOffload(OffloadPolicy):
     """The paper's baseline: everything runs on the user core."""
 
     name = "baseline"
+    learns = False
 
     def decide(self, invocation: OSInvocation) -> Decision:
         return Decision(offload=False, overhead_cycles=0, predicted_length=0)
@@ -91,6 +97,7 @@ class AlwaysOffload(OffloadPolicy):
     """Off-load every privileged entry (the N=0 corner of Figure 4)."""
 
     name = "always"
+    learns = False
 
     def decide(self, invocation: OSInvocation) -> Decision:
         return Decision(offload=True, overhead_cycles=0, predicted_length=invocation.length)
@@ -109,6 +116,7 @@ class StaticInstrumentation(OffloadPolicy):
     """
 
     name = "SI"
+    learns = False
 
     def __init__(
         self,
@@ -240,6 +248,7 @@ class OracleOffload(OffloadPolicy):
     """
 
     name = "oracle"
+    learns = False
 
     def decide(self, invocation: OSInvocation) -> Decision:
         return Decision(

@@ -334,9 +334,11 @@ class OffloadEngine:
         Stands in for the bulk of the paper's 50 M-instruction warm-up:
         the predictor (HI) and the software shim's history (DI) reach
         steady state without paying for memory simulation.  A dedicated
-        generator seed keeps the timed trace untouched.
+        generator seed keeps the timed trace untouched.  Policies that
+        learn nothing (``policy.learns`` false) skip the pass: their
+        decisions do not depend on history.
         """
-        if invocations <= 0:
+        if invocations <= 0 or not self.policy.learns:
             return
         if self._trace_store is not None:
             events: Iterator[TraceEvent] = self._trace_store.priming_events(

@@ -8,14 +8,19 @@ from repro.core.policies import (
     DynamicInstrumentation,
     HardwareInstrumentation,
     NeverOffload,
+    OffloadPolicy,
     OracleOffload,
     StaticInstrumentation,
 )
 from repro.cpu.registers import ArchitectedState, PState
 from repro.errors import ConfigurationError
+from repro.offload.engine import OffloadEngine
+from repro.offload.migration import AGGRESSIVE
 from repro.os_model.syscalls import get_syscall
 from repro.os_model.traps import SPILL_LENGTH, SPILL_TRAP_VECTOR
+from repro.sim.config import TEST_SCALE, SimulatorConfig
 from repro.workloads.base import OSInvocation
+from repro.workloads.presets import get_workload
 
 
 def invocation(vector=3, name="read", length=1500, i0=4, i1=0, size_units=64,
@@ -151,3 +156,56 @@ class TestOracle:
         assert oracle.decide(invocation(length=1500)).offload
         assert not oracle.decide(invocation(length=900)).offload
         assert oracle.decide(invocation(length=1500)).overhead_cycles == 0
+
+
+PRIMING_INVOCATIONS = 300
+
+
+class _WarmupReached(Exception):
+    pass
+
+
+def _observes_before_warmup(policy):
+    """Run an engine until warm-up starts; count ``observe`` calls."""
+    config = SimulatorConfig(
+        profile=TEST_SCALE, policy_priming_invocations=PRIMING_INVOCATIONS
+    )
+    engine = OffloadEngine(get_workload("derby"), policy, AGGRESSIVE, config)
+    calls = []
+    observe = policy.observe
+
+    def counted(invocation, decision):
+        calls.append(invocation)
+        observe(invocation, decision)
+
+    def stop(budget, epochs):
+        raise _WarmupReached
+
+    policy.observe = counted
+    engine._run_phase = stop
+    with pytest.raises(_WarmupReached):
+        engine.run()
+    return len(calls)
+
+
+class TestLearning:
+    def test_policies_that_do_not_learn_inherit_observe(self):
+        built_in = [
+            cls for cls in OffloadPolicy.__subclasses__()
+            if cls.__module__ == OffloadPolicy.__module__
+        ]
+        learners = {cls for cls in built_in if cls.learns}
+        assert learners == {DynamicInstrumentation, HardwareInstrumentation}
+        for cls in built_in:
+            if not cls.learns:
+                assert cls.observe is OffloadPolicy.observe, cls.__name__
+
+    @pytest.mark.parametrize(
+        "policy", [HardwareInstrumentation, DynamicInstrumentation]
+    )
+    def test_learners_are_primed(self, policy):
+        observed = _observes_before_warmup(policy(threshold=100))
+        assert observed == PRIMING_INVOCATIONS
+
+    def test_non_learners_skip_priming(self):
+        assert _observes_before_warmup(NeverOffload()) == 0
