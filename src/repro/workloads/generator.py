@@ -21,7 +21,8 @@ Address space layout (all units are cache lines):
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from bisect import bisect_right
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +77,21 @@ PRIMING_SEED_OFFSET = 7919
 TraceEvent = Union[UserSegment, OSInvocation]
 
 
+def choice_cdf(weights: Sequence[float]) -> List[float]:
+    """Cumulative distribution of ``weights``, as ``Generator.choice`` builds it.
+
+    ``bisect_right(cdf, rng.random())`` then draws the index that
+    ``rng.choice(len(weights), p=weights / sum(weights))`` would: numpy
+    normalises ``p`` the same way, makes the same float comparisons
+    against one ``random()`` double and leaves the same generator state,
+    without re-validating ``p`` on every call.
+    """
+    p = np.asarray(weights, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class TraceGenerator:
     """Deterministic event and address stream for one hardware thread."""
 
@@ -113,12 +129,10 @@ class TraceGenerator:
         self.os_code_base = OS_CODE_BASE
 
         names = [name for name, _ in spec.syscall_mix]
-        weights = np.array([w for _, w in spec.syscall_mix], dtype=float)
         self._syscall_names = names
         self._syscalls = [get_syscall(name) for name in names]
-        self._syscall_probs = weights / weights.sum()
-        size_weights = np.array(spec.size_weights, dtype=float)
-        self._size_probs = size_weights / size_weights.sum()
+        self._syscall_cdf = choice_cdf([w for _, w in spec.syscall_mix])
+        self._size_cdf = choice_cdf(spec.size_weights)
         self._size_classes = np.array(spec.size_classes, dtype=np.int64)
         # Per-syscall argument pools: applications name a handful of
         # objects (descriptors, paths), so the i0 register cycles through
@@ -211,13 +225,13 @@ class TraceGenerator:
     def _make_syscall(self) -> OSInvocation:
         rng = self.rng
         spec = self.spec
-        index = int(rng.choice(len(self._syscalls), p=self._syscall_probs))
+        index = bisect_right(self._syscall_cdf, rng.random())
         syscall = self._syscalls[index]
         pool = self._arg_pools[index]
         pool_slot = int(rng.integers(0, len(pool)))
         i0 = int(pool[pool_slot])
         if syscall.kind == ARG_LINEAR:
-            size_slot = int(rng.choice(len(self._size_classes), p=self._size_probs))
+            size_slot = bisect_right(self._size_cdf, rng.random())
             size_units = int(self._size_classes[size_slot])
             # i1 carries the buffer pointer (what the hash sees); the
             # size operand travels in a higher argument register the

@@ -1,12 +1,15 @@
 """Property-based tests for the workload generator and spec arithmetic."""
 
+from bisect import bisect_right
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import ScaleProfile
 from repro.workloads.base import OSInvocation, SharingModel, UserSegment, WorkloadSpec
-from repro.workloads.generator import TraceGenerator
-from repro.workloads.presets import get_workload
+from repro.workloads.generator import TraceGenerator, choice_cdf
+from repro.workloads.presets import all_workloads, get_workload
 
 PROFILE = ScaleProfile(name="prop", scale=4000, cache_scale=32, l1_scale=4)
 
@@ -81,3 +84,38 @@ def test_mean_user_segment_inverts_os_fraction(os_fraction):
     mean_user = spec.mean_user_segment()
     realised = mean_os / (mean_os + mean_user)
     assert abs(realised - os_fraction) < 1e-9
+
+
+WEIGHTS = st.lists(
+    st.floats(0.0, 1e6, allow_subnormal=False), min_size=1, max_size=16
+).filter(lambda weights: sum(weights) > 0)
+#: Every preset's syscall mix and size-class mix.
+PRESET_MIXES = [
+    mix
+    for spec in all_workloads()
+    for mix in ([w for _, w in spec.syscall_mix], list(spec.size_weights))
+]
+
+
+def _assert_cdf_draws_match_choice(weights, seed, draws):
+    p = np.asarray(weights, dtype=float)
+    p = p / p.sum()
+    cdf = choice_cdf(weights)
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    for _ in range(draws):
+        assert bisect_right(cdf, rng_a.random()) == rng_b.choice(len(p), p=p)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@given(weights=WEIGHTS, seed=SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_cdf_draw_matches_generator_choice(weights, seed):
+    _assert_cdf_draws_match_choice(weights, seed, draws=50)
+
+
+@given(seed=SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_cdf_draw_matches_generator_choice_on_preset_mixes(seed):
+    for weights in PRESET_MIXES:
+        _assert_cdf_draws_match_choice(weights, seed, draws=100)
