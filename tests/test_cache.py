@@ -69,14 +69,6 @@ class TestLookupAndFill:
         assert victim_line == 0  # 0 was still LRU
         assert (cache.stats.hits, cache.stats.misses) == (hits, misses)
 
-    def test_lookup_without_lru_update(self):
-        cache = make_cache(lines=4, assoc=2)
-        cache.fill(0, SHARED)
-        cache.fill(2, SHARED)
-        cache.lookup(0, update_lru=False)
-        victim_line, _ = cache.fill(4, SHARED)
-        assert victim_line == 0
-
 
 class TestInvalidateAndState:
     def test_invalidate_returns_previous_state(self):
