@@ -4,13 +4,12 @@ from repro.memory.cache import Cache, EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import CoherenceNode, MemoryHierarchy
 from repro.memory.interconnect import PointToPointFabric
-from repro.memory.mesi import Directory, DirectoryEntry
+from repro.memory.mesi import Directory
 
 __all__ = [
     "Cache",
     "CoherenceNode",
     "Directory",
-    "DirectoryEntry",
     "EXCLUSIVE",
     "INVALID",
     "MODIFIED",

@@ -6,8 +6,9 @@ models "directory lookup, cache-to-cache transfers, and coherence
 invalidation overheads independently".
 
 This module holds the *directory* side of the protocol: for every line
-that is cached anywhere it tracks the set of sharer nodes and whether one
-of them holds the line exclusively (E or M).  The per-cache line states
+that is cached anywhere it tracks the set of sharer nodes (as a bitmask,
+bit ``n`` for node ``n``) and whether one of them holds the line
+exclusively (E or M).  The per-cache line states
 live inside :class:`repro.memory.cache.Cache`; the
 :class:`repro.memory.hierarchy.MemoryHierarchy` drives both in lock-step
 and enforces the protocol invariants:
@@ -25,28 +26,15 @@ the two paths against each other on final directory state
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.stats import CoherenceStats
 
 
-class DirectoryEntry:
-    """Directory state for a single line.
-
-    ``owner`` is the node id holding the line in E or M, or ``-1`` when
-    the line is shared (or uncached).  ``sharers`` is the set of nodes
-    with any copy, including the exclusive owner.
-    """
-
-    __slots__ = ("sharers", "owner")
-
-    def __init__(self) -> None:
-        self.sharers: Set[int] = set()
-        self.owner: int = -1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DirectoryEntry(sharers={self.sharers}, owner={self.owner})"
+def nodes_of(mask: int) -> List[int]:
+    """The node ids whose bits are set in a sharer ``mask``, ascending."""
+    return [node for node in range(mask.bit_length()) if mask >> node & 1]
 
 
 class Directory:
@@ -56,31 +44,32 @@ class Directory:
     requests.  It answers "who has this line" so the hierarchy can charge
     the right latency (cache-to-cache transfer vs. DRAM fetch) and send
     the right invalidations.
+
+    State is two int maps, with no per-line object: ``_sharers`` maps a
+    line with at least one cached copy to its sharer bitmask (the
+    exclusive owner included), and ``_owner`` maps a line held in E or M
+    to that node.  A line absent from ``_owner`` is shared or uncached
+    (owner ``-1``); every line in ``_owner`` is in ``_sharers``.  Only
+    the protocol transitions below write them, so probing a line never
+    makes the directory track it.
     """
 
     def __init__(self, stats: CoherenceStats):
         self.stats = stats
-        self._entries: Dict[int, DirectoryEntry] = {}
+        self._owner: Dict[int, int] = {}
+        self._sharers: Dict[int, int] = {}
 
-    def lookup(self, line: int) -> DirectoryEntry:
-        """Return (creating if absent) the entry for ``line``.
+    def lookup(self, line: int) -> Tuple[int, int]:
+        """``(owner, sharer mask)`` of ``line``: ``(-1, 0)`` if uncached.
 
         Counts a directory lookup; latency is charged by the hierarchy.
         """
         self.stats.directory_lookups += 1
-        entry = self._entries.get(line)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[line] = entry
-        return entry
+        return self._owner.get(line, -1), self._sharers.get(line, 0)
 
-    def peek(self, line: int) -> DirectoryEntry:
-        """Entry for ``line`` without counting a lookup (checks/tests)."""
-        entry = self._entries.get(line)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[line] = entry
-        return entry
+    def peek(self, line: int) -> Tuple[int, int]:
+        """:meth:`lookup` without counting a lookup (checks/tests)."""
+        return self._owner.get(line, -1), self._sharers.get(line, 0)
 
     def record_fill(self, line: int, node: int, exclusive: bool) -> None:
         """Note that ``node`` now holds ``line``.
@@ -88,61 +77,62 @@ class Directory:
         ``exclusive`` marks an E/M fill; the caller must already have
         invalidated or downgraded other copies.
         """
-        entry = self.peek(line)
+        bit = 1 << node
+        mask = self._sharers.get(line, 0)
         if exclusive:
-            if entry.sharers - {node}:
+            if mask & ~bit:
                 raise SimulationError(
                     f"exclusive fill of line {line} by node {node} while "
-                    f"sharers {entry.sharers} still hold it"
+                    f"sharers {nodes_of(mask)} still hold it"
                 )
-            entry.owner = node
+            self._owner[line] = node
         else:
-            entry.owner = -1
-        entry.sharers.add(node)
+            self._owner.pop(line, None)
+        self._sharers[line] = mask | bit
 
     def record_eviction(self, line: int, node: int) -> None:
         """Note that ``node`` dropped its copy of ``line``."""
-        entry = self._entries.get(line)
-        if entry is None:
+        mask = self._sharers.get(line)
+        if mask is None:
             return
-        entry.sharers.discard(node)
-        if entry.owner == node:
-            entry.owner = -1
-        if not entry.sharers:
-            del self._entries[line]
+        mask &= ~(1 << node)
+        if mask:
+            self._sharers[line] = mask
+            if self._owner.get(line) == node:
+                del self._owner[line]
+        else:
+            del self._sharers[line]
+            self._owner.pop(line, None)
 
     def downgrade_owner(self, line: int) -> None:
         """Owner moves from E/M to S (another node read the line)."""
-        entry = self._entries.get(line)
-        if entry is not None:
-            entry.owner = -1
+        self._owner.pop(line, None)
 
     def set_owner(self, line: int, node: int) -> None:
         """Promote ``node`` to exclusive owner (after invalidating others)."""
-        entry = self.peek(line)
-        entry.owner = node
-        entry.sharers = {node}
+        self._owner[line] = node
+        self._sharers[line] = 1 << node
+
+    def owner_of(self, line: int) -> int:
+        """Exclusive (E/M) owner of ``line``, or ``-1``; no lookup counted."""
+        return self._owner.get(line, -1)
 
     def sharers_of(self, line: int) -> Set[int]:
         """Current sharer set (empty when uncached); no lookup counted."""
-        entry = self._entries.get(line)
-        return set(entry.sharers) if entry is not None else set()
+        return set(nodes_of(self._sharers.get(line, 0)))
 
     def tracked_lines(self) -> Set[int]:
         """All lines with at least one cached copy (for invariant checks)."""
-        return set(self._entries)
+        return set(self._sharers)
 
     def snapshot(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
         """Deterministic ``{line: (owner, sorted sharers)}`` view.
 
-        Entries with no sharers (created by :meth:`peek` probes) are
-        omitted, so the snapshot depends only on protocol transitions.
         The differential tests assert that a spec-method and a batched
         run of the same cell end with *equal snapshots* — a stronger
         bit-identity check than comparing counters alone.
         """
         return {
-            line: (entry.owner, tuple(sorted(entry.sharers)))
-            for line, entry in self._entries.items()
-            if entry.sharers
+            line: (self._owner.get(line, -1), tuple(nodes_of(mask)))
+            for line, mask in self._sharers.items()
         }

@@ -13,31 +13,43 @@ def directory():
 
 
 class TestLookup:
-    def test_lookup_creates_entry_and_counts(self, directory):
-        entry = directory.lookup(7)
-        assert entry.sharers == set()
-        assert entry.owner == -1
-        assert directory.stats.directory_lookups == 1
+    def test_lookup_counts_and_returns_owner_and_mask(self, directory):
+        assert directory.lookup(7) == (-1, 0)
+        directory.record_fill(7, node=0, exclusive=False)
+        directory.record_fill(7, node=2, exclusive=False)
+        assert directory.lookup(7) == (-1, 0b101)
+        directory.set_owner(7, node=1)
+        assert directory.lookup(7) == (1, 0b010)
+        assert directory.stats.directory_lookups == 3
 
     def test_peek_does_not_count(self, directory):
         directory.peek(7)
         assert directory.stats.directory_lookups == 0
 
+    def test_probes_do_not_track_uncached_lines(self, directory):
+        directory.lookup(7)
+        directory.peek(9)
+        directory.sharers_of(11)
+        assert directory.tracked_lines() == set()
+        assert directory.snapshot() == {}
+
+    def test_owner_of_untracked_line(self, directory):
+        assert directory.owner_of(5) == -1
+        assert directory.tracked_lines() == set()
+
 
 class TestFills:
     def test_exclusive_fill_sets_owner(self, directory):
         directory.record_fill(1, node=0, exclusive=True)
-        entry = directory.peek(1)
-        assert entry.owner == 0
-        assert entry.sharers == {0}
+        assert directory.owner_of(1) == 0
+        assert directory.sharers_of(1) == {0}
 
     def test_shared_fill_clears_owner(self, directory):
         directory.record_fill(1, node=0, exclusive=True)
         directory.downgrade_owner(1)
         directory.record_fill(1, node=1, exclusive=False)
-        entry = directory.peek(1)
-        assert entry.owner == -1
-        assert entry.sharers == {0, 1}
+        assert directory.owner_of(1) == -1
+        assert directory.sharers_of(1) == {0, 1}
 
     def test_exclusive_fill_with_other_sharers_is_error(self, directory):
         directory.record_fill(1, node=0, exclusive=False)
@@ -47,7 +59,7 @@ class TestFills:
     def test_exclusive_refill_by_same_node_ok(self, directory):
         directory.record_fill(1, node=0, exclusive=True)
         directory.record_fill(1, node=0, exclusive=True)
-        assert directory.peek(1).owner == 0
+        assert directory.owner_of(1) == 0
 
 
 class TestEvictions:
@@ -66,7 +78,7 @@ class TestEvictions:
         directory.record_fill(1, node=0, exclusive=True)
         directory.record_fill(1, node=0, exclusive=True)
         directory.record_eviction(1, node=0)
-        assert directory.peek(1).owner == -1
+        assert directory.owner_of(1) == -1
 
     def test_eviction_of_untracked_line_is_noop(self, directory):
         directory.record_eviction(42, node=3)  # must not raise
@@ -77,14 +89,13 @@ class TestOwnership:
         directory.record_fill(1, node=0, exclusive=False)
         directory.record_fill(1, node=1, exclusive=False)
         directory.set_owner(1, node=2)
-        entry = directory.peek(1)
-        assert entry.owner == 2
-        assert entry.sharers == {2}
+        assert directory.owner_of(1) == 2
+        assert directory.sharers_of(1) == {2}
 
     def test_downgrade_owner(self, directory):
         directory.record_fill(1, node=0, exclusive=True)
         directory.downgrade_owner(1)
-        assert directory.peek(1).owner == -1
+        assert directory.owner_of(1) == -1
         assert directory.sharers_of(1) == {0}
 
     def test_sharers_of_untracked_is_empty(self, directory):

@@ -86,9 +86,8 @@ def clone(
                 for line, state in cache_set:  # LRU first, MRU last
                     cache.fill(line, state)
     for line, (owner, sharers) in directory:
-        entry = hierarchy.directory.peek(line)
-        entry.owner = owner
-        entry.sharers = set(sharers)
+        for sharer in sharers:
+            hierarchy.directory.record_fill(line, sharer, sharer == owner)
     return hierarchy
 
 
