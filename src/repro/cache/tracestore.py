@@ -67,7 +67,6 @@ DEFAULT_LRU_ENTRIES = 8
 
 _EMPTY_LINES = np.empty(0, dtype=np.int64)
 _EMPTY_WRITES = np.empty(0, dtype=bool)
-_EMPTY_STARTS = np.zeros(1, dtype=np.int64)
 
 
 class _TraceData:

@@ -13,7 +13,6 @@ families (:mod:`repro.lint.flowrules` over the engine in
 :mod:`repro.lint.callgraph` / :mod:`repro.lint.dataflow`):
 
 - ``N5xx`` determinism-taint rules (:mod:`repro.lint.taint`)
-- ``A6xx`` scratch-escape rules (:mod:`repro.lint.escape`)
 - ``W7xx`` worker-purity rules (:mod:`repro.lint.workers`)
 
 Run via ``repro lint [paths ...]``; suppress a finding in place with a

@@ -78,7 +78,7 @@ class FlowStep(Tuple[str, int, str]):
 class Violation:
     """One rule finding, anchored to a file and line.
 
-    Flow-based findings (the v2 N/A/W families) are anchored at their
+    Flow-based findings (the v2 N/W families) are anchored at their
     *sink* and additionally carry the full source→sink trace in
     :attr:`flow`; ``severity`` feeds the SARIF export and
     ``--list-rules`` (the exit code counts every finding regardless).
@@ -331,8 +331,8 @@ def run_lint(
 
     ``select`` restricts the run to rule ids matching any of the given
     prefixes; entries may be comma-separated (``["D"]`` → all
-    determinism rules, ``["N,A,W"]`` → all three flow families).
-    ``dataflow`` enables the interprocedural flow rules (N/A/W
+    determinism rules, ``["N,W"]`` → both flow families).
+    ``dataflow`` enables the interprocedural flow rules (N/W
     families); the default run keeps v1's per-file speed.
     """
     project, violations = collect_project(paths, root=root)

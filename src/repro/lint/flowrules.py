@@ -1,10 +1,10 @@
-"""Flow-based rule families (N/A/W) over the dataflow engine.
+"""Flow-based rule families (N/W) over the dataflow engine.
 
 These rules only run under ``repro lint --dataflow``.  They share one
 :class:`FlowContext` per :class:`~repro.lint.core.Project` — the call
-graph is built once and each analysis (taint fixpoint, escape scan,
-purity reachability) runs once per lint invocation, however many rule
-classes consume its results.
+graph is built once and each analysis (taint fixpoint, purity
+reachability) runs once per lint invocation, however many rule classes
+consume its results.
 
 Rule ids:
 
@@ -14,10 +14,6 @@ N502   nondeterministic value flows into a trace-event constructor
 N503   nondeterministic value flows into a metric emission
 N504   nondeterministic value flows into cache-key material
 N505   nondeterministic value flows into a ``JobResult`` field
-A601   scratch buffer view returned across the kernel's public surface
-A602   scratch buffer stored on an attribute / retained in a container
-A603   scratch buffer captured by a closure
-A604   scratch buffer passed out of its kernel module
 W701   worker-reachable function re-binds a module global
 W702   worker-reachable function mutates a module-level container
 W703   worker-reachable function re-binds an enclosing-scope name
@@ -35,7 +31,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.lint.callgraph import CallGraph
 from repro.lint.core import FlowStep, Project, Rule, Violation, register
 from repro.lint.dataflow import Flow, Summary
-from repro.lint.escape import EscapeFinding, run_escape_analysis
 from repro.lint.taint import run_taint_analysis
 from repro.lint.workers import PurityFinding, run_worker_analysis
 
@@ -49,7 +44,6 @@ class FlowContext:
         self.project = project
         self.graph = CallGraph(project)
         self._taint: Optional[Tuple[Dict[str, Summary], List[Flow]]] = None
-        self._escapes: Optional[List[EscapeFinding]] = None
         self._purity: Optional[List[PurityFinding]] = None
 
     @property
@@ -63,12 +57,6 @@ class FlowContext:
         if self._taint is None:
             self._taint = run_taint_analysis(self.project, self.graph)
         return self._taint[0]
-
-    @property
-    def escapes(self) -> List[EscapeFinding]:
-        if self._escapes is None:
-            self._escapes = run_escape_analysis(self.project, self.graph)
-        return self._escapes
 
     @property
     def purity(self) -> List[PurityFinding]:
@@ -190,51 +178,6 @@ class JobResultTaintRule(_TaintRule):
     id = "N505"
     summary = "nondeterministic value flows into a JobResult field"
     sink_kind = "job-result"
-
-
-class _EscapeRule(Rule):
-    family = "scratch-escape"
-    severity = "error"
-    flow = True
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        ctx = flow_context(project)
-        for finding in ctx.escapes:
-            if finding.rule != self.id:
-                continue
-            yield Violation(
-                path=finding.path,
-                line=finding.line,
-                rule=self.id,
-                message=finding.message,
-                severity=self.severity,
-            )
-
-
-@register
-class ScratchPublicReturnRule(_EscapeRule):
-    id = "A601"
-    summary = "scratch buffer view returned across the public surface"
-
-
-@register
-class ScratchStoreRule(_EscapeRule):
-    id = "A602"
-    summary = "scratch buffer stored on an attribute or in a container"
-
-
-@register
-class ScratchClosureRule(_EscapeRule):
-    id = "A603"
-    summary = "scratch buffer captured by a nested function or lambda"
-    severity = "warning"
-
-
-@register
-class ScratchCrossModuleRule(_EscapeRule):
-    id = "A604"
-    summary = "scratch buffer passed out of its kernel module"
-    severity = "warning"
 
 
 class _PurityRule(Rule):

@@ -28,7 +28,7 @@ FLOWS = Path(__file__).parent / "lint_fixtures" / "flows"
 BAD = FLOWS / "bad"
 CLEAN = FLOWS / "clean"
 
-FLOW_SELECT = ["N,A,W"]
+FLOW_SELECT = ["N,W"]
 
 
 def _findings(tree: Path, **kwargs):
@@ -44,13 +44,11 @@ def _findings(tree: Path, **kwargs):
 def test_flow_rules_registered_with_metadata():
     rules = {rule.id: rule for rule in registered_rules()}
     for rule_id in ("N501", "N502", "N503", "N504", "N505",
-                    "A601", "A602", "A603", "A604",
                     "W701", "W702", "W703"):
         assert rule_id in rules
         assert rules[rule_id].flow
         assert rules[rule_id].severity in ("error", "warning", "note")
     assert rules["N501"].family == "determinism-taint"
-    assert rules["A601"].family == "scratch-escape"
     assert rules["W701"].family == "worker-purity"
     # v1 rules are not flow-based and keep running without --dataflow
     assert not rules["D101"].flow
@@ -67,11 +65,6 @@ EXPECTED_BAD = [
     ("N503", "pipeline/emit.py", "wall-clock"),
     ("N504", "pipeline/emit.py", "shard_key"),
     ("N505", "pipeline/emit.py", "duration_s"),
-    ("A601", "kernel/scratch.py", "'publish'"),
-    ("A602", "kernel/scratch.py", "self.view"),
-    ("A602", "kernel/scratch.py", ".append"),
-    ("A603", "kernel/scratch.py", "nested function"),
-    ("A604", "kernel/scratch.py", "consume_block"),
     ("W701", "workers/pool.py", "'_EPOCH'"),
     ("W702", "workers/pool.py", "'_RESULTS'"),
     ("W703", "workers/pool.py", "'count'"),
@@ -165,8 +158,8 @@ def test_flow_rules_off_without_dataflow():
 
 
 def test_family_prefix_select():
-    only_escape = _findings(BAD, select=["A"])
-    assert {v.rule[0] for v in only_escape} == {"A"}
+    only_purity = _findings(BAD, select=["W"])
+    assert {v.rule[0] for v in only_purity} == {"W"}
     comma = _findings(BAD, select=["N,W"])
     assert {v.rule[0] for v in comma} == {"N", "W"}
 
@@ -267,12 +260,12 @@ def test_baseline_partial_and_stale():
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     assert cli_main([
-        "lint", "--dataflow", "--select", "N,A,W",
+        "lint", "--dataflow", "--select", "N,W",
         "--baseline", str(baseline), "--update-baseline", str(BAD),
     ]) == 0
     capsys.readouterr()
     assert cli_main([
-        "lint", "--dataflow", "--select", "N,A,W",
+        "lint", "--dataflow", "--select", "N,W",
         "--baseline", str(baseline), str(BAD),
     ]) == 0
     out = capsys.readouterr().out
@@ -291,7 +284,7 @@ def test_repo_baseline_is_empty():
 
 def test_cli_dataflow_flags_bad_tree(capsys):
     assert cli_main([
-        "lint", "--dataflow", "--select", "N,A,W", str(BAD)
+        "lint", "--dataflow", "--select", "N,W", str(BAD)
     ]) == 1
     out = capsys.readouterr().out
     assert "flow: source" in out

@@ -28,7 +28,7 @@ SCHEMA = json.loads(
 @pytest.fixture(scope="module")
 def bad_violations():
     return run_lint(
-        [FLOWS_BAD], root=FLOWS_BAD, dataflow=True, select=["N,A,W"]
+        [FLOWS_BAD], root=FLOWS_BAD, dataflow=True, select=["N,W"]
     )
 
 
@@ -95,7 +95,7 @@ def test_render_sarif_is_stable_json(bad_violations):
 def test_cli_writes_sarif_file(tmp_path, capsys):
     out_file = tmp_path / "simlint.sarif"
     code = cli_main([
-        "lint", "--dataflow", "--select", "N,A,W",
+        "lint", "--dataflow", "--select", "N,W",
         "--sarif", str(out_file), str(FLOWS_BAD),
     ])
     assert code == 1  # findings exist; SARIF written regardless
