@@ -8,9 +8,4 @@ _CONFIG_SCALARS = (
 
 _CONFIG_STRUCTURED = ()
 
-_NON_OUTCOME_KEYS = (
-    "engine",
-    "phantom",  # F403: excluded but never serialised
-)
-
 # 'threads' and 'orphan_field' are missing everywhere -> F401 x2.

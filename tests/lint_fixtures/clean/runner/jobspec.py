@@ -7,5 +7,3 @@ _CONFIG_SCALARS = (
 )
 
 _CONFIG_STRUCTURED = ()
-
-_NON_OUTCOME_KEYS = ("engine",)
