@@ -18,8 +18,7 @@ provides, all from the AST alone (nothing under analysis is imported):
   miniature test fixtures;
 - **call-site resolution**: given a call expression inside a function,
   find the :class:`FunctionInfo` it lands on.  Resolved forms: plain
-  names (local or imported functions, module-level aliases like
-  ``probe_commit = _probe_commit_numpy``), ``module.func(...)`` through
+  names (local or imported functions), ``module.func(...)`` through
   an imported project module, ``self.method(...)`` /``cls.method(...)``
   through the enclosing class (following project-local base classes),
   ``Class(...)`` instantiation (lands on ``__init__``), and
@@ -143,8 +142,6 @@ class _ModuleScope:
         self.functions: Dict[str, FunctionInfo] = {}
         #: local name -> class defined in this module
         self.classes: Dict[str, ClassInfo] = {}
-        #: module-level ``alias = other_name`` assignments
-        self.assign_aliases: Dict[str, str] = {}
 
 
 class CallGraph:
@@ -193,28 +190,6 @@ class CallGraph:
                         self.functions[info.fid] = info
                 scope.classes[stmt.name] = cls
                 self.classes.setdefault(stmt.name, []).append(cls)
-            elif (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Name)
-            ):
-                scope.assign_aliases[stmt.targets[0].id] = stmt.value.id
-            elif (
-                isinstance(stmt, ast.Try)
-            ):
-                # ``try: probe = _jit except: probe = _plain`` — index
-                # aliases one level inside try/except blocks too.
-                for sub in stmt.body + [
-                    s for h in stmt.handlers for s in h.body
-                ]:
-                    if (
-                        isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Name)
-                        and isinstance(sub.value, ast.Name)
-                    ):
-                        scope.assign_aliases[sub.targets[0].id] = sub.value.id
 
     def _resolve_imports(self, module: ModuleSource) -> None:
         scope = self._scopes[module.relpath]
@@ -307,11 +282,6 @@ class CallGraph:
             target = self._find_module(target_mod)
             if target is not None:
                 return self.resolve_name(target, symbol, depth + 1)
-            return None
-        if name in scope.assign_aliases:
-            return self.resolve_name(
-                module, scope.assign_aliases[name], depth + 1
-            )
         return None
 
     def resolve_call(

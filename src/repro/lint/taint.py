@@ -65,19 +65,9 @@ from repro.lint.parity import stats_counter_names
 from repro.lint.registries import event_class_names
 
 __all__ = [
-    "SOURCE_KINDS",
-    "SINK_KINDS",
     "TaintInterpreter",
     "run_taint_analysis",
 ]
-
-SOURCE_KINDS = (
-    "wall-clock", "global-rng", "environ", "set-order", "object-id",
-)
-
-SINK_KINDS = (
-    "stats-counter", "trace-event", "metric", "cache-key", "job-result",
-)
 
 #: ``os`` attributes whose value depends on host state.
 _OS_STATE_FUNCS = frozenset({
@@ -298,7 +288,7 @@ class TaintInterpreter(FunctionInterpreter):
 
     # -- sinks ---------------------------------------------------------
 
-    def assign(self, target: ast.expr, value: Value, stmt: ast.stmt) -> None:
+    def assign(self, target: ast.expr, value: Value) -> None:
         if (
             isinstance(target, ast.Attribute)
             and target.attr in self.ctx.counters
@@ -309,7 +299,7 @@ class TaintInterpreter(FunctionInterpreter):
                     "stats-counter", target,
                     f"stats counter '{target.attr}'", labels,
                 )
-        super().assign(target, value, stmt)
+        super().assign(target, value)
 
     def observe_call(
         self,
