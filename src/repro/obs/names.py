@@ -109,77 +109,6 @@ SPAN_MEM_MISS = "sim.mem.miss"
 SPAN_QUEUE = "sim.queue"
 SPAN_POLICY_DECIDE = "sim.policy"
 
-#: Every span name the simulator emits (``R305`` parses the
-#: assignments above, not this set).
-SPAN_NAMES = frozenset({
-    SPAN_CELL,
-    SPAN_CELL_SETUP,
-    SPAN_CELL_BASELINE,
-    SPAN_CELL_POLICY,
-    SPAN_CELL_SIMULATE,
-    SPAN_CELL_RESULT_CACHE,
-    SPAN_SIM_PRIME,
-    SPAN_SIM_WARMUP,
-    SPAN_SIM_ROI,
-    SPAN_GEN_GENERATE,
-    SPAN_GEN_REPLAY,
-    SPAN_MEM_BATCHED,
-    SPAN_QUEUE,
-    SPAN_POLICY_DECIDE,
-})
-
-#: Every declared metric name.  ``repro report`` and the lint pass use
-#: this to validate snapshots without re-spelling any string.
-METRIC_NAMES = frozenset({
-    QUEUE_DELAY_CYCLES,
-    OS_INVOCATION_LENGTH_INSTRUCTIONS,
-    OS_ENTRIES_TOTAL,
-    OFFLOADS_TOTAL,
-    OS_INSTRUCTIONS_TOTAL,
-    OFFLOADED_INSTRUCTIONS_TOTAL,
-    INSTRUCTIONS_TOTAL,
-    PREDICTOR_PREDICTIONS_TOTAL,
-    PREDICTOR_GLOBAL_FALLBACKS_TOTAL,
-    COHERENCE_C2C_TRANSFERS_TOTAL,
-    COHERENCE_INVALIDATIONS_TOTAL,
-    THROUGHPUT_IPC,
-    OFFLOAD_RATE,
-    MEAN_QUEUE_DELAY_CYCLES,
-    OS_CORE_BUSY_FRACTION,
-    PREDICTOR_BINARY_ACCURACY,
-    MEAN_L2_HIT_RATE,
-    REPRO_SERVICE_LATENCY_CYCLES,
-    REPRO_SERVICE_REQUESTS_TOTAL,
-    REPRO_SERVICE_DROPS_TOTAL,
-    REPRO_SERVICE_QUEUE_CYCLES_TOTAL,
-    REPRO_SERVICE_MIGRATION_CYCLES_TOTAL,
-    REPRO_SERVICE_EXECUTION_CYCLES_TOTAL,
-    REPRO_SERVICE_LATENCY_P50_CYCLES,
-    REPRO_SERVICE_LATENCY_P99_CYCLES,
-    REPRO_SERVICE_LATENCY_P999_CYCLES,
-    REPRO_SERVICE_OS_CORES,
-    RUNNER_JOBS_TOTAL,
-    RUNNER_JOBS_COMPLETED,
-    RUNNER_JOBS_FAILED,
-    RUNNER_JOBS_SKIPPED,
-    RUNNER_RETRIES_TOTAL,
-    RUNNER_WORKERS,
-    RUNNER_JOB_SECONDS,
-    RUNNER_CELL_STARTED_TOTAL,
-    RUNNER_CELL_RETRIED_TOTAL,
-    RUNNER_CELLS_RUNNING,
-    RUNNER_CELLS_STALLED,
-    RUNNER_HEARTBEATS_TOTAL,
-    REPRO_SPAN_SELF_SECONDS_TOTAL,
-    REPRO_SPAN_CALLS_TOTAL,
-    REPRO_CACHE_TRACE_HITS_TOTAL,
-    REPRO_CACHE_TRACE_MISSES_TOTAL,
-    REPRO_CACHE_RESULT_HITS_TOTAL,
-    REPRO_CACHE_RESULT_MISSES_TOTAL,
-    REPRO_CACHE_READ_BYTES_TOTAL,
-    REPRO_CACHE_WRITTEN_BYTES_TOTAL,
-})
-
 __all__ = [
     "QUEUE_DELAY_CYCLES",
     "OS_INVOCATION_LENGTH_INSTRUCTIONS",
@@ -228,7 +157,6 @@ __all__ = [
     "REPRO_CACHE_RESULT_MISSES_TOTAL",
     "REPRO_CACHE_READ_BYTES_TOTAL",
     "REPRO_CACHE_WRITTEN_BYTES_TOTAL",
-    "METRIC_NAMES",
     "SPAN_CELL",
     "SPAN_CELL_SETUP",
     "SPAN_CELL_BASELINE",
@@ -243,5 +171,4 @@ __all__ = [
     "SPAN_MEM_BATCHED",
     "SPAN_QUEUE",
     "SPAN_POLICY_DECIDE",
-    "SPAN_NAMES",
 ]
