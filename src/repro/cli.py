@@ -290,10 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", action="append", metavar="RULE",
                       help="only run rules whose id starts with RULE "
                            "(repeatable and comma-separable; e.g. "
-                           "--select D --select N,A,W)")
+                           "--select D --select N,W)")
     lint.add_argument("--dataflow", action="store_true",
                       help="also run the interprocedural flow rules "
-                           "(N/A/W families)")
+                           "(N/W families)")
     lint.add_argument("--sarif", metavar="FILE",
                       help="additionally write findings as SARIF 2.1.0 "
                            "to FILE")
@@ -949,6 +949,15 @@ def _cmd_lint(args, config: SimulatorConfig) -> int:
     if args.update_baseline and not args.baseline:
         print("--update-baseline requires --baseline FILE")
         return 2
+    rule_ids = [rule.id for rule in registered_rules()]
+    for entry in args.select or ():
+        for token in entry.split(","):
+            token = token.strip()
+            if token and not any(rule_id.startswith(token)
+                                 for rule_id in rule_ids):
+                print(f"error: --select {token}: no registered rule id "
+                      "starts with it (see --list-rules)", file=sys.stderr)
+                return 2
     if args.paths:
         paths = [pathlib.Path(p) for p in args.paths]
         root = pathlib.Path.cwd()
