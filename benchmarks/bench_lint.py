@@ -3,8 +3,8 @@
 The whole-program pass (``repro lint --dataflow``) is meant to run in
 CI on every push and locally before every commit, so it has a hard
 wall-clock budget: a full analysis of ``src/repro`` — call graph,
-taint fixpoint, escape analysis, and worker-purity closure — must
-finish in under 10 seconds.  The budget is what keeps the dataflow
+taint fixpoint and worker-purity closure — must finish in under 10
+seconds.  The budget is what keeps the dataflow
 engine honest as the tree grows; if a new abstraction blows it, the
 fix is summary precision or caching, not dropping the pass from CI.
 
