@@ -24,8 +24,10 @@ Key contents per level:
   generator never sees them, which is what lets every cell of a grid
   replay one materialized trace;
 - **priming keys** cover the same workload/profile/seed identity plus
-  ``policy_priming_invocations`` (the recorded stream must contain
-  enough invocations to prime any policy);
+  the two fields that decide which invocations prime a policy,
+  ``policy_priming_invocations`` and ``include_window_traps``: each
+  entry holds exactly the stream one setting feeds the policy, so the
+  two trap settings get different entries;
 - **result keys** reuse :func:`~repro.runner.jobspec.config_fingerprint`
   verbatim (plus the job id), so level 2 inherits the runner's
   outcome-equivalence classes.
@@ -86,6 +88,7 @@ def prime_key(spec: WorkloadSpec, config_payload: Dict[str, Any]) -> str:
         "profile": config_payload["profile"],
         "seed": config_payload["seed"],
         "invocations": config_payload["policy_priming_invocations"],
+        "include_window_traps": config_payload["include_window_traps"],
     })
 
 

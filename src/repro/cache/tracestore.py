@@ -16,10 +16,12 @@ the recorder consumes the generator precisely as the engine would, a
 replayed trace is bit-identical to a live one: same events, same
 arrays, same downstream LRU/MESI state (the golden suite pins this).
 
-The policy-priming stream (a separate generator at ``seed +
-PRIMING_SEED_OFFSET``; see ``OffloadEngine._prime_policy``) is cached
-the same way under its own key — it is pure event generation and
-costs as much as the timed trace at small scale profiles.
+The policy-priming stream is cached the same way under its own key —
+it is pure event generation and costs as much as the timed trace at
+small scale profiles.  A priming entry holds exactly the invocations
+:func:`~repro.workloads.generator.priming_invocations` yields for its
+key's ``policy_priming_invocations`` and ``include_window_traps``: the
+stream ``OffloadEngine._prime_policy`` feeds the policy, nothing more.
 
 Storage is one ``.npz`` (uncompressed; these are hot files) plus one
 JSON manifest per key, written atomically (temp file + ``os.replace``)
@@ -53,9 +55,9 @@ from repro.cpu.registers import ArchitectedState
 from repro.sim.config import ScaleProfile, SimulatorConfig
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
 from repro.workloads.generator import (
-    PRIMING_SEED_OFFSET,
     TraceEvent,
     TraceGenerator,
+    priming_invocations,
 )
 
 logger = logging.getLogger(__name__)
@@ -207,30 +209,21 @@ def _materialize_trace(
 
 
 def _materialize_priming(
-    spec: WorkloadSpec, profile: ScaleProfile, seed: int, target: int
+    spec: WorkloadSpec,
+    profile: ScaleProfile,
+    seed: int,
+    target: int,
+    include_window_traps: bool,
 ) -> _TraceData:
-    """Record the priming invocation stream.
-
-    Recording counts only non-window-trap invocations (but keeps the
-    traps in the stream), so the entry primes a policy correctly both
-    with and without ``include_window_traps``: the trap-counting
-    consumer reaches its quota no later than the recorder did.
-    """
-    generator = TraceGenerator(spec, profile, seed=seed)
-    events: List[TraceEvent] = []
-    seen = 0
-    for event in generator.events(2 ** 62):
-        if not isinstance(event, OSInvocation):
-            continue
-        events.append(event)
-        if not event.is_window_trap:
-            seen += 1
-            if seen >= target:
-                break
+    """Record the priming stream: the ``target`` invocations, traps
+    included or not, that :func:`priming_invocations` feeds a policy."""
+    events = tuple(
+        priming_invocations(spec, profile, seed, target, include_window_traps)
+    )
     return _TraceData(
         kind=PRIME_KIND,
         budget=0,
-        events=tuple(events),
+        events=events,
         data_lines=_EMPTY_LINES.copy(),
         data_writes=_EMPTY_WRITES.copy(),
         data_starts=np.zeros(len(events) + 1, dtype=np.int64),
@@ -310,6 +303,13 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+#: The per-invocation columns of an entry, in :func:`_decode`'s order.
+_INVOCATION_COLUMNS = (
+    "inv_vector", "inv_name", "inv_pstate", "inv_g0", "inv_g1", "inv_i0",
+    "inv_i1", "inv_pre", "inv_size", "inv_shared", "inv_flags",
+)
+
+
 def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceData:
     count = int(manifest["events"])
     names = manifest["names"]
@@ -339,44 +339,38 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
             code_lines.shape[0] == int(code_starts[-1]), "code stream truncated"
         )
     total = int(manifest["invocations"])
-    fields = {
-        name: arrays[name]
-        for name in (
-            "inv_vector", "inv_name", "inv_pstate", "inv_g0", "inv_g1",
-            "inv_i0", "inv_i1", "inv_pre", "inv_size", "inv_shared",
-            "inv_flags",
-        )
-    }
-    for name, array in fields.items():
-        _require(array.shape == (total,), f"{name} array truncated")
-    events: List[TraceEvent] = []
-    position = 0
-    for index in range(count):
-        if kinds[index] == 0:
-            events.append(UserSegment(instructions=int(lengths[index])))
-            continue
-        _require(position < total, "invocation array shorter than event stream")
-        flags = int(fields["inv_flags"][position])
-        events.append(OSInvocation(
-            vector=int(fields["inv_vector"][position]),
-            name=names[int(fields["inv_name"][position])],
-            astate=ArchitectedState(
-                pstate=int(fields["inv_pstate"][position]),
-                g0=int(fields["inv_g0"][position]),
-                g1=int(fields["inv_g1"][position]),
-                i0=int(fields["inv_i0"][position]),
-                i1=int(fields["inv_i1"][position]),
-            ),
-            length=int(lengths[index]),
-            pre_interrupt_length=int(fields["inv_pre"][position]),
-            shared_fraction=float(fields["inv_shared"][position]),
+    for name in _INVOCATION_COLUMNS:
+        _require(arrays[name].shape == (total,), f"{name} array truncated")
+    _require(
+        int(np.count_nonzero(kinds)) == total,
+        "invocation arrays do not match the event stream",
+    )
+    # Convert each column to Python values once; indexing numpy scalars
+    # field by field costs more than the whole conversion.
+    columns = [arrays[name].tolist() for name in _INVOCATION_COLUMNS]
+    columns.append(lengths[kinds != 0].tolist())
+    invocations = iter([
+        OSInvocation(
+            vector=vector,
+            name=names[name],
+            astate=ArchitectedState(pstate=pstate, g0=g0, g1=g1, i0=i0, i1=i1),
+            length=length,
+            pre_interrupt_length=pre,
+            shared_fraction=shared,
             is_window_trap=bool(flags & 1),
             is_interrupt=bool(flags & 2),
             interrupts_enabled=bool(flags & 4),
-            size_units=int(fields["inv_size"][position]),
-        ))
-        position += 1
-    _require(position == total, "invocation array longer than event stream")
+            size_units=size,
+        )
+        for (
+            vector, name, pstate, g0, g1, i0, i1, pre, size, shared, flags,
+            length,
+        ) in zip(*columns)
+    ])
+    events = tuple(
+        next(invocations) if kind else UserSegment(instructions=length)
+        for kind, length in zip(kinds.tolist(), lengths.tolist())
+    )
     return _TraceData(
         kind=str(manifest["kind"]),
         budget=int(manifest["budget"]),
@@ -459,19 +453,27 @@ class TraceStore:
 
     def priming_events(
         self, spec: WorkloadSpec, config: SimulatorConfig
-    ) -> Iterator[TraceEvent]:
-        """The policy-priming event stream (recorded once per key)."""
+    ) -> Iterator[OSInvocation]:
+        """The invocations that prime a learning policy under ``config``.
+
+        Always the stream :func:`priming_invocations` yields: replayed
+        from the entry (recorded once per key) or, if the cache is
+        unusable, drawn live.
+        """
         payload = self._payload(config)
         profile = ScaleProfile(**payload["profile"])
-        seed = payload["seed"] + PRIMING_SEED_OFFSET
+        seed = payload["seed"]
         target = payload["policy_priming_invocations"]
+        include_traps = payload["include_window_traps"]
         try:
             key = prime_key(spec, payload)
             data = self._lookup(key, PRIME_KIND)
             if data is not None and data.priming_target != target:
                 data = None
             if data is None:
-                data = _materialize_priming(spec, profile, seed, target)
+                data = _materialize_priming(
+                    spec, profile, seed, target, include_traps
+                )
                 self.counters["trace_misses"] += 1
                 self._remember(key, data)
                 self._save(key, data)
@@ -482,7 +484,9 @@ class TraceStore:
             logger.warning(
                 "priming cache bypassed for %s: %r", spec.name, error
             )
-            return TraceGenerator(spec, profile, seed=seed).events(2 ** 62)
+            return priming_invocations(
+                spec, profile, seed, target, include_traps
+            )
 
     # -- internals -----------------------------------------------------
 
@@ -517,8 +521,9 @@ class TraceStore:
     def _load(self, key: str, kind: str) -> Optional[_TraceData]:
         manifest_path, npz_path = self._paths(key)
         try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
+            with open(manifest_path, "rb") as handle:
+                raw_manifest = handle.read()
+            manifest = json.loads(raw_manifest)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as error:
@@ -550,7 +555,7 @@ class TraceStore:
                 key, error,
             )
             return None
-        self.counters["bytes_read"] += size
+        self.counters["bytes_read"] += size + len(raw_manifest)
         return data
 
     def _save(self, key: str, data: _TraceData) -> None:

@@ -64,9 +64,9 @@ from repro.sim.config import SimulatorConfig
 from repro.sim.stats import CoreStats, SimulationStats
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
 from repro.workloads.generator import (
-    PRIMING_SEED_OFFSET,
     TraceEvent,
     TraceGenerator,
+    priming_invocations,
 )
 
 logger = logging.getLogger(__name__)
@@ -295,7 +295,7 @@ class OffloadEngine:
             self.migration.one_way_latency, self.config.num_user_cores,
         )
         with self.profiler.span(names.SPAN_SIM_PRIME):
-            self._prime_policy(self.config.policy_priming_invocations)
+            self._prime_policy()
         self._phase_label = PHASE_WARMUP
         with self.profiler.span(names.SPAN_SIM_WARMUP):
             warm_instructions, warm_os = self._run_phase(
@@ -328,7 +328,7 @@ class OffloadEngine:
     # phase machinery
     # ------------------------------------------------------------------
 
-    def _prime_policy(self, invocations: int) -> None:
+    def _prime_policy(self) -> None:
         """Train learning policies on an invocation stream before timing.
 
         Stands in for the bulk of the paper's 50 M-instruction warm-up:
@@ -336,32 +336,24 @@ class OffloadEngine:
         steady state without paying for memory simulation.  A dedicated
         generator seed keeps the timed trace untouched.  Policies that
         learn nothing (``policy.learns`` false) skip the pass: their
-        decisions do not depend on history.
+        decisions do not depend on history.  The stream, replayed or
+        live, is :func:`~repro.workloads.generator.priming_invocations`.
         """
-        if invocations <= 0 or not self.policy.learns:
+        config = self.config
+        if config.policy_priming_invocations <= 0 or not self.policy.learns:
             return
         if self._trace_store is not None:
-            events: Iterator[TraceEvent] = self._trace_store.priming_events(
-                self.spec, self.config
+            stream: Iterator[OSInvocation] = self._trace_store.priming_events(
+                self.spec, config
             )
         else:
-            generator = TraceGenerator(
-                self.spec, self.config.profile,
-                seed=self.config.seed + PRIMING_SEED_OFFSET,
+            stream = priming_invocations(
+                self.spec, config.profile, config.seed,
+                config.policy_priming_invocations, config.include_window_traps,
             )
-            events = generator.events(2 ** 62)
-        include_traps = self.config.include_window_traps
-        seen = 0
-        for event in events:
-            if not isinstance(event, OSInvocation):
-                continue
-            if event.is_window_trap and not include_traps:
-                continue
-            decision = self.policy.decide(event)
-            self.policy.observe(event, decision)
-            seen += 1
-            if seen >= invocations:
-                break
+        policy = self.policy
+        for invocation in stream:
+            policy.observe(invocation, policy.decide(invocation))
 
     def _run_phase(self, budget: int, epochs: bool) -> Tuple[int, int]:
         """Interleave cores until each has executed ``budget`` instructions.

@@ -22,6 +22,7 @@ Address space layout (all units are cache lines):
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -75,6 +76,30 @@ STACK_LINES = 8
 PRIMING_SEED_OFFSET = 7919
 
 TraceEvent = Union[UserSegment, OSInvocation]
+
+
+def priming_invocations(
+    spec: WorkloadSpec,
+    profile: ScaleProfile,
+    seed: int,
+    invocations: int,
+    include_window_traps: bool,
+) -> Iterator[OSInvocation]:
+    """The invocations a learning policy is primed on, in order.
+
+    Draws from a generator seeded ``seed + PRIMING_SEED_OFFSET``, keeps
+    only :class:`OSInvocation` events, skips window traps unless
+    ``include_window_traps`` is set, and stops after ``invocations`` of
+    them without drawing the next event.
+    """
+    generator = TraceGenerator(spec, profile, seed=seed + PRIMING_SEED_OFFSET)
+    stream = (
+        event
+        for event in generator.events(2 ** 62)
+        if isinstance(event, OSInvocation)
+        and (include_window_traps or not event.is_window_trap)
+    )
+    return islice(stream, max(0, invocations))
 
 
 def choice_cdf(weights: Sequence[float]) -> List[float]:
