@@ -42,8 +42,9 @@ LATENCIES = (0, 100)
 ROUNDS = 2
 
 #: (cold-grid, warm-re-run) speedup floors per regime.  The DEFAULT
-#: numbers are the contract (measured ~1.6x / ~20x); the TEST floors
-#: only catch the cache becoming a pessimisation.
+#: numbers are the contract (measured 1.7-1.9x / 660-1040x on a 2-vCPU
+#: VM; docs/caching.md has the table); the TEST floors only catch the
+#: cache becoming a pessimisation.
 DEFAULT_FLOORS = (1.5, 5.0)
 TEST_FLOORS = (1.05, 3.0)
 

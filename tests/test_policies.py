@@ -165,12 +165,11 @@ class _WarmupReached(Exception):
     pass
 
 
-def _observes_before_warmup(policy):
-    """Run an engine until warm-up starts; count ``observe`` calls."""
-    config = SimulatorConfig(
-        profile=TEST_SCALE, policy_priming_invocations=PRIMING_INVOCATIONS
+def observed_before_warmup(spec, policy, config, trace_store=None):
+    """Run an engine until warm-up starts; return what ``policy`` observed."""
+    engine = OffloadEngine(
+        spec, policy, AGGRESSIVE, config, trace_store=trace_store
     )
-    engine = OffloadEngine(get_workload("derby"), policy, AGGRESSIVE, config)
     calls = []
     observe = policy.observe
 
@@ -185,7 +184,15 @@ def _observes_before_warmup(policy):
     engine._run_phase = stop
     with pytest.raises(_WarmupReached):
         engine.run()
-    return len(calls)
+    return calls
+
+
+def _observes_before_warmup(policy):
+    """Count the ``observe`` calls before warm-up on a derby engine."""
+    config = SimulatorConfig(
+        profile=TEST_SCALE, policy_priming_invocations=PRIMING_INVOCATIONS
+    )
+    return len(observed_before_warmup(get_workload("derby"), policy, config))
 
 
 class TestLearning:
