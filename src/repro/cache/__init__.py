@@ -4,10 +4,13 @@ Level 1 (:class:`~repro.cache.tracestore.TraceStore`) materializes
 ``TraceGenerator`` streams once per ``(workload, profile, seed,
 thread)`` key and replays them bit-identically into the engines; level
 2 (:class:`~repro.cache.resultstore.ResultStore`) memoizes whole
-``simulate()`` outcomes on the runner's config fingerprint.  Key
-derivation lives in :mod:`repro.cache.keys`, root resolution and
-layout in :mod:`repro.cache.paths`, and the ``repro cache`` CLI's
-stats/gc/clear in :mod:`repro.cache.maintenance`.
+``simulate()`` outcomes on the runner's config fingerprint.  Beside
+them, the in-process tape level
+(:class:`~repro.cache.tapestore.TapeStore`) keeps the memory tapes that
+let a grid cell's latency twins skip the memory simulation; it is never
+written to disk.  Key derivation lives in :mod:`repro.cache.keys`, root
+resolution and layout in :mod:`repro.cache.paths`, and the ``repro
+cache`` CLI's stats/gc/clear in :mod:`repro.cache.maintenance`.
 
 Caching is opt-in at the library level: everything accepts
 ``trace_store=None`` / ``cache_dir=None`` and behaves exactly as
@@ -29,6 +32,7 @@ from repro.cache.paths import (
     resolve_cache_root,
 )
 from repro.cache.resultstore import ResultStore
+from repro.cache.tapestore import TapeStore
 from repro.cache.tracestore import TraceStore
 from repro.workloads.generator import PRIMING_SEED_OFFSET
 
@@ -38,6 +42,7 @@ __all__ = [
     "DEFAULT_CACHE_ROOT",
     "PRIMING_SEED_OFFSET",
     "ResultStore",
+    "TapeStore",
     "TraceStore",
     "baselines_dir",
     "cache_clear",

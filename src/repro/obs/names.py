@@ -86,6 +86,8 @@ REPRO_CACHE_RESULT_HITS_TOTAL = "repro_cache_result_hits_total"
 REPRO_CACHE_RESULT_MISSES_TOTAL = "repro_cache_result_misses_total"
 REPRO_CACHE_READ_BYTES_TOTAL = "repro_cache_read_bytes_total"
 REPRO_CACHE_WRITTEN_BYTES_TOTAL = "repro_cache_written_bytes_total"
+REPRO_CACHE_TAPE_HITS_TOTAL = "repro_cache_tape_hits_total"
+REPRO_CACHE_TAPE_MISSES_TOTAL = "repro_cache_tape_misses_total"
 
 # --- span names (closed registry for repro.obs.spans; rule R305) ----
 SPAN_CELL = "cell"
@@ -157,6 +159,8 @@ __all__ = [
     "REPRO_CACHE_RESULT_MISSES_TOTAL",
     "REPRO_CACHE_READ_BYTES_TOTAL",
     "REPRO_CACHE_WRITTEN_BYTES_TOTAL",
+    "REPRO_CACHE_TAPE_HITS_TOTAL",
+    "REPRO_CACHE_TAPE_MISSES_TOTAL",
     "SPAN_CELL",
     "SPAN_CELL_SETUP",
     "SPAN_CELL_BASELINE",

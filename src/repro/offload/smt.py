@@ -63,10 +63,11 @@ class SMTOffloadEngine(OffloadEngine):
     """Off-loading engine with multi-threaded user cores."""
 
     def __init__(self, spec, policy, migration, config, controller=None,
-                 bus=None, metrics=None, trace_store=None, profiler=None):
+                 bus=None, metrics=None, trace_store=None, profiler=None,
+                 memory_tape=None):
         super().__init__(spec, policy, migration, config, controller,
                          bus=bus, metrics=metrics, trace_store=trace_store,
-                         profiler=profiler)
+                         profiler=profiler, memory_tape=memory_tape)
         threads = config.threads_per_user_core
         if threads < 2:
             raise SimulationError(

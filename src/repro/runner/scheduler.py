@@ -554,6 +554,16 @@ class BatchRunner:
                 names.REPRO_CACHE_WRITTEN_BYTES_TOTAL,
                 "bytes written into cache entries", exist_ok=True,
             ),
+            "cache_tape_hits": registry.counter(
+                names.REPRO_CACHE_TAPE_HITS_TOTAL,
+                "cells that replayed a latency twin's memory tape",
+                exist_ok=True,
+            ),
+            "cache_tape_misses": registry.counter(
+                names.REPRO_CACHE_TAPE_MISSES_TOTAL,
+                "tape-eligible cells that recorded their memory side",
+                exist_ok=True,
+            ),
         }
 
     @staticmethod

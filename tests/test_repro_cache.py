@@ -339,8 +339,9 @@ def _grid_metrics(batch):
 def test_concurrent_workers_share_one_cache(tmp_path):
     config = SimulatorConfig(profile=TEST_SCALE, seed=2010)
     specs = [
-        JobSpec(workload, "HI", threshold, 100)
+        JobSpec(workload, "HI", threshold, latency)
         for workload in ("apache", "derby")
+        for latency in (100, 5000)
         for threshold in (0, 100)
     ]
     plain = run_job_grid(specs, config)
@@ -349,13 +350,26 @@ def test_concurrent_workers_share_one_cache(tmp_path):
     # writes make the collision benign and the numbers bit-identical.
     parallel = run_job_grid(specs, config, jobs=2, cache_dir=root)
     assert _grid_metrics(parallel) == _grid_metrics(plain)
+    # A serial cold grid replays each cell's memory tape for its
+    # latency twin: one recording and one replay per (workload, N).
+    worker._BASELINE_MEMO.clear()
+    worker._STORES.clear()
+    registry = MetricsRegistry()
+    serial = run_job_grid(
+        specs, config, cache_dir=_store_root(tmp_path / "serial"),
+        metrics=registry,
+    )
+    assert _grid_metrics(serial) == _grid_metrics(plain)
+    prometheus = registry.to_prometheus()
+    assert "repro_cache_tape_hits_total 4" in prometheus
+    assert "repro_cache_tape_misses_total 4" in prometheus
     worker._BASELINE_MEMO.clear()
     worker._STORES.clear()
     registry = MetricsRegistry()
     warm = run_job_grid(specs, config, cache_dir=root, metrics=registry)
     assert _grid_metrics(warm) == _grid_metrics(plain)
     prometheus = registry.to_prometheus()
-    assert "repro_cache_result_hits_total 4" in prometheus
+    assert "repro_cache_result_hits_total 8" in prometheus
 
 
 def test_cache_root_hosts_shared_baselines(tmp_path):

@@ -237,11 +237,20 @@ class TestAcceptance:
             for latency in (0, 5000)
         ]
 
-        def merged_structure(jobs):
+        def merged_structure(jobs, cached=False):
+            # With a cache, a serial batch replays each latency twin's
+            # memory tape, while a parallel one may not: the structure
+            # must not tell them apart.
             batch = run_batch(
                 grid, config, jobs=jobs, span_profile=True,
-                baseline_dir=str(tmp_path / f"base-{jobs}"),
+                baseline_dir=str(tmp_path / f"base-{jobs}-{cached}"),
+                cache_dir=str(tmp_path / f"cache-{jobs}") if cached else None,
             )
+            if cached and jobs == 1:
+                assert sum(
+                    result.cache_counters.get("tape_hits", 0)
+                    for result in batch
+                ) == 2
             profiles = [
                 result.profile
                 for result in sorted(batch, key=lambda r: r.job_id)
@@ -255,6 +264,9 @@ class TestAcceptance:
         names_seen = {name for _, name, _ in serial}
         assert names.SPAN_CELL in names_seen
         assert names.SPAN_CELL_SIMULATE in names_seen
+        assert merged_structure(jobs=1, cached=True) == merged_structure(
+            jobs=2, cached=True
+        )
 
     def test_disabled_batches_carry_no_profiles(self):
         config = SimulatorConfig(profile=TEST_SCALE)
