@@ -62,9 +62,10 @@ from repro.workloads.generator import (
 
 logger = logging.getLogger(__name__)
 
-#: Decoded entries kept hot per process.  Sized for the report grids
-#: (six workloads round-robin across a shard) while bounding memory:
-#: a DEFAULT_SCALE entry is a few MB.
+#: Decoded entries kept hot per process, bounding memory: a
+#: DEFAULT_SCALE trace entry is a few MB.  A single-core cell of a
+#: learning policy (HI, DI) reads two entries, its trace and its
+#: priming entry, so 8 entries hold the cells of four workloads.
 DEFAULT_LRU_ENTRIES = 8
 
 _EMPTY_LINES = np.empty(0, dtype=np.int64)
