@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional
 
 from repro.cache.keys import CACHE_SCHEMA_VERSION, RESULT_KIND, result_key
 from repro.cache.paths import RESULTS_SUBDIR
+from repro.errors import JobTimeout
 
 logger = logging.getLogger(__name__)
 
@@ -116,6 +117,8 @@ class ResultStore:
                     pass
                 raise
             self.counters["bytes_written"] += os.path.getsize(path)
+        except JobTimeout:
+            raise
         except Exception as error:
             logger.warning(
                 "could not persist result-cache entry %s: %r", key, error

@@ -23,6 +23,14 @@ small scale profiles.  A priming entry holds exactly the invocations
 key's ``policy_priming_invocations`` and ``include_window_traps``: the
 stream ``OffloadEngine._prime_policy`` feeds the policy, nothing more.
 
+What priming teaches a learning policy depends only on that stream and
+on how the policy learns, so the store also keeps *primed policy
+states*: after a live priming pass, the policy's snapshot, keyed by the
+priming key plus the policy's
+:meth:`~repro.core.policies.OffloadPolicy.learning_shape`.  Later runs
+load it without reading the stream.  These states live only in process
+memory, for as long as the store does, and are never written to disk.
+
 Storage is one ``.npz`` (uncompressed; these are hot files) plus one
 JSON manifest per key, written atomically (temp file + ``os.replace``)
 so concurrent batch workers can race on a key: both compute the same
@@ -52,6 +60,7 @@ from repro.cache.keys import (
 )
 from repro.cache.paths import TRACES_SUBDIR
 from repro.cpu.registers import ArchitectedState
+from repro.errors import JobTimeout
 from repro.sim.config import ScaleProfile, SimulatorConfig
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
 from repro.workloads.generator import (
@@ -67,6 +76,11 @@ logger = logging.getLogger(__name__)
 #: learning policy (HI, DI) reads two entries, its trace and its
 #: priming entry, so 8 entries hold the cells of four workloads.
 DEFAULT_LRU_ENTRIES = 8
+
+#: Primed policy states kept per store.  One is a few thousand ints at
+#: most (a full 1,500-entry direct-mapped table), and a grid needs one
+#: per workload, priming setting and predictor shape in flight.
+PRIMED_ENTRIES = 64
 
 _EMPTY_LINES = np.empty(0, dtype=np.int64)
 _EMPTY_WRITES = np.empty(0, dtype=bool)
@@ -403,11 +417,16 @@ class TraceStore:
         os.makedirs(self.directory, exist_ok=True)
         self.max_entries = max(1, max_entries)
         self._lru: "OrderedDict[str, _TraceData]" = OrderedDict()
+        self._primed: "OrderedDict[Tuple[str, Tuple[Any, ...]], Any]" = (
+            OrderedDict()
+        )
         self.counters: Dict[str, int] = {
             "trace_hits": 0,
             "trace_misses": 0,
             "bytes_read": 0,
             "bytes_written": 0,
+            "primed_hits": 0,
+            "primed_misses": 0,
         }
 
     # -- public API ----------------------------------------------------
@@ -445,6 +464,8 @@ class TraceStore:
             else:
                 self.counters["trace_hits"] += 1
             return _ReplayTrace(data)
+        except JobTimeout:
+            raise
         except Exception as error:
             logger.warning(
                 "trace cache bypassed for %s thread %d: %r",
@@ -481,6 +502,8 @@ class TraceStore:
             else:
                 self.counters["trace_hits"] += 1
             return iter(data.events)
+        except JobTimeout:
+            raise
         except Exception as error:
             logger.warning(
                 "priming cache bypassed for %s: %r", spec.name, error
@@ -488,6 +511,33 @@ class TraceStore:
             return priming_invocations(
                 spec, profile, seed, target, include_traps
             )
+
+    def primed_state(
+        self, spec: WorkloadSpec, config: SimulatorConfig,
+        shape: Tuple[Any, ...],
+    ) -> Optional[Any]:
+        """The policy state primed on this store's priming stream, or ``None``.
+
+        ``shape`` is the policy's
+        :meth:`~repro.core.policies.OffloadPolicy.learning_shape`.  A
+        state is kept only in process memory, for as long as the store
+        lives; a lookup counts as ``primed_hits`` or ``primed_misses``.
+        """
+        state = self._primed.get(self._primed_key(spec, config, shape))
+        if state is None:
+            self.counters["primed_misses"] += 1
+        else:
+            self.counters["primed_hits"] += 1
+        return state
+
+    def keep_primed_state(
+        self, spec: WorkloadSpec, config: SimulatorConfig,
+        shape: Tuple[Any, ...], state: Any,
+    ) -> None:
+        """Keep a policy's snapshot, taken right after a live priming pass."""
+        self._primed[self._primed_key(spec, config, shape)] = state
+        while len(self._primed) > PRIMED_ENTRIES:
+            self._primed.popitem(last=False)
 
     # -- internals -----------------------------------------------------
 
@@ -498,6 +548,14 @@ class TraceStore:
         from repro.runner.jobspec import config_to_payload
 
         return config_to_payload(config)
+
+    def _primed_key(
+        self, spec: WorkloadSpec, config: SimulatorConfig,
+        shape: Tuple[Any, ...],
+    ) -> Tuple[str, Tuple[Any, ...]]:
+        # The priming entry's key already covers everything that picks
+        # the stream; the shape covers how the policy learns from it.
+        return prime_key(spec, self._payload(config)), shape
 
     def _paths(self, key: str) -> Tuple[str, str]:
         base = os.path.join(self.directory, key)
@@ -550,6 +608,8 @@ class TraceStore:
                 with np.load(handle) as archive:
                     arrays = {name: archive[name] for name in archive.files}
             data = _decode(manifest, arrays)
+        except JobTimeout:
+            raise
         except Exception as error:
             logger.warning(
                 "ignoring corrupt trace-cache entry %s: %r; regenerating",
@@ -573,6 +633,8 @@ class TraceStore:
             self.counters["bytes_written"] += (
                 os.path.getsize(npz_path) + os.path.getsize(manifest_path)
             )
+        except JobTimeout:
+            raise
         except Exception as error:
             logger.warning(
                 "could not persist trace-cache entry %s: %r", key, error

@@ -18,8 +18,10 @@ record each OS entry point's mean run length.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from repro.errors import ConfigurationError
 from repro.sim.config import ScaleProfile
@@ -53,19 +55,27 @@ class InstrumentationCosts:
             raise ConfigurationError("instrumentation costs must be non-negative")
 
 
+@dataclass(frozen=True)
 class OfflineProfile:
     """Per-entry-point mean run lengths from a profiling run.
 
     This is the artefact the static-instrumentation flow consumes: the
     set of OS routines (identified by trap/syscall vector) whose profiled
-    mean run length justifies instrumentation.
+    mean run length justifies instrumentation.  It is immutable, because
+    :meth:`collect` hands one instance to every caller that asks for the
+    same profile.
     """
 
-    def __init__(self, mean_lengths: Dict[int, float], invocations: int) -> None:
-        self.mean_lengths = dict(mean_lengths)
-        self.invocations = invocations
+    mean_lengths: Mapping[int, float]
+    invocations: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "mean_lengths", MappingProxyType(dict(self.mean_lengths))
+        )
 
     @classmethod
+    @functools.lru_cache(maxsize=8)
     def collect(
         cls,
         spec: WorkloadSpec,
@@ -78,7 +88,9 @@ class OfflineProfile:
         Uses a *different seed* than evaluation runs by default, exactly
         as off-line profiling in practice observes a different execution
         than the one being optimised — one of the inaccuracies the paper
-        attributes to the approach.
+        attributes to the approach.  The profile depends only on the
+        arguments, so the last few are memoized: every SI cell of a grid
+        shares its workload's profile.
         """
         generator = TraceGenerator(spec, profile, seed=seed)
         totals: Dict[int, float] = {}

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.instrumentation import InstrumentationCosts, OfflineProfile
-from repro.core.predictor import RunLengthPredictor
+from repro.core.predictor import PredictorSnapshot, RunLengthPredictor
 from repro.errors import ConfigurationError
 from repro.os_model.runlength import deterministic_length
 from repro.os_model.syscalls import CATALOGUE, Syscall
@@ -65,6 +65,8 @@ class OffloadPolicy(abc.ABC):
     ``learns`` declares whether :meth:`observe` feeds history into later
     decisions.  The engine primes only policies that learn: for the
     others a priming pass would generate a trace and change nothing.
+    A learning policy may also keep a :meth:`snapshot`/:meth:`load`
+    pair, which lets a trace store prime it once per priming stream.
     """
 
     name: str = "abstract"
@@ -81,6 +83,26 @@ class OffloadPolicy(abc.ABC):
 
     def observe(self, invocation: OSInvocation, decision: Decision) -> None:
         """Feedback after the invocation completed (default: none)."""
+
+    def learning_shape(self) -> Optional[Tuple[Any, ...]]:
+        """Key of what priming teaches this policy, or ``None`` to prime live.
+
+        Two untrained policies of equal shape learn the same state from
+        one priming stream, so a :meth:`snapshot` of one, taken once it
+        is primed, may be loaded into the other.  ``None`` where that
+        does not hold: the policy keeps no snapshot, or it has already
+        learned something (say, from a caller-shared predictor) that a
+        load would overwrite.
+        """
+        return None
+
+    def snapshot(self) -> Any:
+        """An immutable copy of what :meth:`observe` has taught the policy."""
+        raise NotImplementedError(f"policy {self.name} keeps no snapshot")
+
+    def load(self, snapshot: Any) -> None:
+        """Replace the learned state with fresh state built from ``snapshot``."""
+        raise NotImplementedError(f"policy {self.name} keeps no snapshot")
 
 
 class NeverOffload(OffloadPolicy):
@@ -206,6 +228,15 @@ class DynamicInstrumentation(OffloadPolicy):
     def observe(self, invocation: OSInvocation, decision: Decision) -> None:
         self._last_seen[invocation.vector] = invocation.length
 
+    def learning_shape(self) -> Optional[Tuple[Any, ...]]:
+        return None if self._last_seen else (type(self),)
+
+    def snapshot(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(self._last_seen.items())
+
+    def load(self, snapshot: Tuple[Tuple[int, int], ...]) -> None:
+        self._last_seen = dict(snapshot)
+
 
 class HardwareInstrumentation(OffloadPolicy):
     """HI: the paper's predictor-directed hardware decision engine."""
@@ -237,6 +268,16 @@ class HardwareInstrumentation(OffloadPolicy):
         stats.binary_total += 1
         if (decision.predicted_length > self.threshold) == (actual > self.threshold):
             stats.binary_correct += 1
+
+    def learning_shape(self) -> Optional[Tuple[Any, ...]]:
+        predictor = self.predictor
+        return None if predictor.trained else (type(self),) + predictor.shape
+
+    def snapshot(self) -> PredictorSnapshot:
+        return self.predictor.snapshot()
+
+    def load(self, snapshot: PredictorSnapshot) -> None:
+        self.predictor.load(snapshot)
 
 
 class OracleOffload(OffloadPolicy):

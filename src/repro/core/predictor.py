@@ -23,7 +23,7 @@ iff the predicted length exceeds the threshold N.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, List, Optional
+from typing import Any, Deque, List, NamedTuple, Optional, Tuple
 
 from repro.core.astate import astate_hash, direct_mapped_index
 from repro.cpu.registers import ArchitectedState
@@ -52,6 +52,22 @@ class _Entry:
     def __init__(self, length: int, confidence: int = 1) -> None:
         self.length = length
         self.confidence = confidence
+
+
+class PredictorSnapshot(NamedTuple):
+    """What a :class:`RunLengthPredictor` has learned, frozen.
+
+    ``entries`` holds one ``(slot, length, confidence)`` triple per
+    valid table entry: the slot is the AState for the CAM, in LRU order
+    (least recent first), and the table index for the direct-mapped
+    organisation.  ``recent`` is the global-history window, oldest
+    first.  ``shape`` is the :attr:`RunLengthPredictor.shape` it was
+    taken from.
+    """
+
+    shape: Tuple[Any, ...]
+    entries: Tuple[Tuple[int, int, int], ...]
+    recent: Tuple[int, ...]
 
 
 def is_close(predicted: int, actual: int, tolerance: float = CLOSE_TOLERANCE) -> bool:
@@ -182,6 +198,69 @@ class RunLengthPredictor:
             self._cam[astate] = _Entry(length)
         else:
             self._ram[direct_mapped_index(astate, self.entries)] = _Entry(length)
+
+    # ------------------------------------------------------------------
+    # learned state
+    # ------------------------------------------------------------------
+
+    @property
+    def shape(self) -> Tuple[Any, ...]:
+        """What decides how this predictor learns from a stream.
+
+        Two predictors of equal shape learn the same table and history
+        from the same invocations, so a :meth:`snapshot` of one may be
+        loaded into the other.
+        """
+        return (
+            type(self), self.entries, self.organisation, self._recent.maxlen,
+            self.use_confidence, self.use_global_fallback,
+        )
+
+    @property
+    def trained(self) -> bool:
+        """True once the predictor observed (or loaded) any history."""
+        # Every observe appends to the window, and only observe and
+        # load fill the table.
+        return bool(self._recent)
+
+    def snapshot(self) -> PredictorSnapshot:
+        """The table, its replacement order and the global history."""
+        if self.organisation == FULLY_ASSOCIATIVE:
+            slots = self._cam.items()
+        else:
+            slots = (
+                (index, entry) for index, entry in enumerate(self._ram)
+                if entry is not None
+            )
+        return PredictorSnapshot(
+            self.shape,
+            tuple(
+                (slot, entry.length, entry.confidence) for slot, entry in slots
+            ),
+            tuple(self._recent),
+        )
+
+    def load(self, snapshot: PredictorSnapshot) -> None:
+        """Replace the learned state with fresh entries built from ``snapshot``.
+
+        ``stats`` is left alone: a load trains nothing, so it counts
+        nothing.
+        """
+        if snapshot.shape != self.shape:
+            raise PredictorError(
+                "snapshot was taken from a differently shaped predictor"
+            )
+        if self.organisation == FULLY_ASSOCIATIVE:
+            self._cam = OrderedDict(
+                (astate, _Entry(length, confidence))
+                for astate, length, confidence in snapshot.entries
+            )
+        else:
+            ram: List[Optional[_Entry]] = [None] * self.entries
+            for index, length, confidence in snapshot.entries:
+                ram[index] = _Entry(length, confidence)
+            self._ram = ram
+        self._recent = deque(snapshot.recent, maxlen=self._recent.maxlen)
 
     # ------------------------------------------------------------------
     # introspection

@@ -39,3 +39,13 @@ class WorkloadError(ReproError):
 
 class PredictorError(ReproError):
     """A predictor was constructed or used with invalid parameters."""
+
+
+class JobTimeout(ReproError):
+    """A cell exceeded its per-job wall-clock budget.
+
+    The batch worker's alarm raises it wherever the cell happens to be,
+    so it can surface inside any handler of the cell's call tree.  A
+    handler that degrades on an unusable cache entry re-raises it: the
+    timeout fails the cell, it is not a fault of the entry.
+    """

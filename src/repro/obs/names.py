@@ -88,6 +88,8 @@ REPRO_CACHE_READ_BYTES_TOTAL = "repro_cache_read_bytes_total"
 REPRO_CACHE_WRITTEN_BYTES_TOTAL = "repro_cache_written_bytes_total"
 REPRO_CACHE_TAPE_HITS_TOTAL = "repro_cache_tape_hits_total"
 REPRO_CACHE_TAPE_MISSES_TOTAL = "repro_cache_tape_misses_total"
+REPRO_CACHE_PRIMED_HITS_TOTAL = "repro_cache_primed_hits_total"
+REPRO_CACHE_PRIMED_MISSES_TOTAL = "repro_cache_primed_misses_total"
 
 # --- span names (closed registry for repro.obs.spans; rule R305) ----
 SPAN_CELL = "cell"

@@ -247,8 +247,8 @@ class OffloadEngine:
             self._record_tape = memory_tape
         self._tape_position = 0
         # Duck-typed repro.cache.TraceStore (or None): the engine only
-        # asks it for trace sources and priming events, so it stays
-        # ignorant of cache keys and storage.
+        # asks it for trace sources, priming events and primed policy
+        # states, so it stays ignorant of cache keys and storage.
         self._trace_store = trace_store
         self.bus = bus if bus is not None else NULL_BUS
         self.metrics = metrics
@@ -427,12 +427,27 @@ class OffloadEngine:
         learn nothing (``policy.learns`` false) skip the pass: their
         decisions do not depend on history.  The stream, replayed or
         live, is :func:`~repro.workloads.generator.priming_invocations`.
+
+        With a trace store, an untrained policy that has a
+        :meth:`~repro.core.policies.OffloadPolicy.learning_shape` is
+        primed once per priming stream and shape: the first run primes
+        live and leaves a snapshot in the store, later runs load it
+        without reading the stream.  The load leaves the policy's stats
+        untouched; the warm-up reset zeroes the live pass's counts too.
         """
         config = self.config
-        if config.policy_priming_invocations <= 0 or not self.policy.learns:
+        policy = self.policy
+        if config.policy_priming_invocations <= 0 or not policy.learns:
             return
-        if self._trace_store is not None:
-            stream: Iterator[OSInvocation] = self._trace_store.priming_events(
+        store = self._trace_store
+        shape = policy.learning_shape() if store is not None else None
+        if shape is not None:
+            primed = store.primed_state(self.spec, config, shape)
+            if primed is not None:
+                policy.load(primed)
+                return
+        if store is not None:
+            stream: Iterator[OSInvocation] = store.priming_events(
                 self.spec, config
             )
         else:
@@ -440,9 +455,10 @@ class OffloadEngine:
                 self.spec, config.profile, config.seed,
                 config.policy_priming_invocations, config.include_window_traps,
             )
-        policy = self.policy
         for invocation in stream:
             policy.observe(invocation, policy.decide(invocation))
+        if shape is not None:
+            store.keep_primed_state(self.spec, config, shape, policy.snapshot())
 
     def _run_phase(self, budget: int, epochs: bool) -> Tuple[int, int]:
         """Interleave cores until each has executed ``budget`` instructions.

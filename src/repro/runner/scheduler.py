@@ -564,6 +564,16 @@ class BatchRunner:
                 "tape-eligible cells that recorded their memory side",
                 exist_ok=True,
             ),
+            "cache_primed_hits": registry.counter(
+                names.REPRO_CACHE_PRIMED_HITS_TOTAL,
+                "learning policies that loaded a primed state",
+                exist_ok=True,
+            ),
+            "cache_primed_misses": registry.counter(
+                names.REPRO_CACHE_PRIMED_MISSES_TOTAL,
+                "learning policies primed live, leaving a primed state",
+                exist_ok=True,
+            ),
         }
 
     @staticmethod

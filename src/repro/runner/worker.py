@@ -28,7 +28,9 @@ has a checkpoint directory, shared across processes through
 With a cache root, latency twins — cells whose only difference is the
 migration latency — share one memory simulation: the first records a
 memory tape, later twins in the same process replay it (see
-:func:`_twin_key` and :mod:`repro.cache.tapestore`).
+:func:`_twin_key` and :mod:`repro.cache.tapestore`).  The root's trace
+store likewise primes each learning policy once per priming stream and
+learning shape; later cells load the primed state.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cache.resultstore import ResultStore
 from repro.cache.tapestore import TapeStore
 from repro.cache.tracestore import TraceStore
-from repro.errors import ReproError
+from repro.errors import JobTimeout, ReproError
 from repro.obs import names
 from repro.obs.spans import NULL_PROFILER, SpanProfiler
 from repro.offload.engine import MemoryTape, memory_tape_eligible
@@ -68,19 +70,16 @@ from repro.sim.simulator import (
 from repro.workloads.presets import get_workload
 
 
-class JobTimeout(ReproError):
-    """A cell exceeded its per-job wall-clock budget."""
-
-
 #: Per-process memo of baseline throughputs.  Keyed by the full config
 #: fingerprint (which includes the seed), so entries inherited across a
 #: ``fork`` or shared between tests can never be wrong, only warm.
 _BASELINE_MEMO: Dict[Tuple[str, str], float] = {}
 
 #: Per-process cache stores, keyed by cache root.  Keeping one
-#: :class:`TraceStore` per root preserves its LRU across the jobs of a
-#: shard, which is where the trace-reuse win comes from; the
-#: :class:`TapeStore` holds the root's memory tapes the same way.
+#: :class:`TraceStore` per root preserves its LRU and its primed policy
+#: states across the jobs of a shard, which is where the trace-reuse
+#: win comes from; the :class:`TapeStore` holds the root's memory tapes
+#: the same way.
 _Stores = Tuple[TraceStore, ResultStore, TapeStore]
 _STORES: Dict[str, _Stores] = {}
 

@@ -85,6 +85,38 @@ class TestStaticInstrumentation:
         assert si.decide(invocation(vector=11)).offload  # longest mean kept
         assert not si.decide(invocation(vector=3)).offload
 
+    def test_si_policies_of_one_workload_share_one_profiling_run(
+        self, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.core import instrumentation
+        from repro.sim.simulator import make_policy
+
+        generators = []
+        real = instrumentation.TraceGenerator
+
+        def counted(*args, **kwargs):
+            generators.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(instrumentation, "TraceGenerator", counted)
+        # A spec no other test profiles, so the memo starts cold.
+        spec = dataclasses.replace(get_workload("apache"), name="si-memo")
+        config = SimulatorConfig(profile=TEST_SCALE)
+        first = make_policy("SI", spec=spec, config=config)
+        second = make_policy("SI", spec=spec, config=config)
+        assert len(generators) == 1
+        assert first._instrumented == second._instrumented
+        assert first.instrumented_count > 0
+
+    def test_offline_profile_is_read_only(self):
+        profile = self._profile()
+        with pytest.raises(TypeError):
+            profile.mean_lengths[3] = 1.0
+        with pytest.raises(AttributeError):
+            profile.invocations = 5
+
 
 class TestDynamicInstrumentation:
     def test_pays_cost_at_every_entry(self):

@@ -14,6 +14,8 @@ import json
 import logging
 import os
 import pathlib
+import shutil
+import time
 
 import pytest
 
@@ -28,7 +30,8 @@ from repro.cache import (
     resolve_cache_root,
 )
 from repro.cache.keys import prime_key
-from repro.cache.paths import CACHE_ENV_VAR, TRACES_SUBDIR
+from repro.cache import tracestore
+from repro.cache.paths import CACHE_ENV_VAR, RESULTS_SUBDIR, TRACES_SUBDIR
 from repro.cache.tracestore import _decode, _encode, _materialize_trace
 from repro.experiments.common import run_job_grid
 from repro.obs.metrics import MetricsRegistry
@@ -325,6 +328,47 @@ def test_execute_job_memoizes_whole_cells(tmp_path):
     assert second["metrics"] == first["metrics"]
     assert second["cache_counters"]["result_hits"] == 1
     assert "trace_misses" not in second["cache_counters"]
+
+
+def _cell_payload(root, timeout_s=None):
+    config = SimulatorConfig(profile=TEST_SCALE, seed=2010)
+    spec = JobSpec("apache", "HI", 100, 0).resolved(config.seed)
+    return {
+        "job": spec.to_payload(),
+        "config": config_to_payload(config),
+        "baseline_dir": None,
+        "timeout_s": timeout_s,
+        "cache_dir": root,
+    }
+
+
+def _sleep_past_the_alarm(*args, **kwargs):
+    time.sleep(5)
+    raise AssertionError("the job's alarm did not fire")
+
+
+@pytest.mark.parametrize(
+    "stage", ["cold-materialization", "warm-load"]
+)
+def test_a_timeout_inside_the_trace_store_fails_the_cell(
+    stage, tmp_path, monkeypatch
+):
+    root = _store_root(tmp_path)
+    if stage == "warm-load":
+        assert worker.execute_job(_cell_payload(root))["status"] == "ok"
+        worker._BASELINE_MEMO.clear()
+        worker._STORES.clear()
+        shutil.rmtree(os.path.join(root, RESULTS_SUBDIR))
+        monkeypatch.setattr(tracestore, "_decode", _sleep_past_the_alarm)
+    else:
+        monkeypatch.setattr(
+            tracestore, "_materialize_trace", _sleep_past_the_alarm
+        )
+    started = time.perf_counter()
+    record = worker.execute_job(_cell_payload(root, timeout_s=0.2))
+    assert record["status"] == "failed"
+    assert record["error"].startswith("JobTimeout")
+    assert time.perf_counter() - started < 4
 
 
 # ----------------------------------------------------------------------
