@@ -33,12 +33,11 @@ class TranslationBuffer:
         self.misses = 0
         self._table: "OrderedDict[int, None]" = OrderedDict()
 
-    def access_line(self, line: int) -> int:
-        """Translate the page containing ``line``; return stall cycles."""
-        return self.access_page(line // LINES_PER_PAGE)
-
     def access_page(self, page: int) -> int:
-        """Translate ``page``; return stall cycles (0 on hit)."""
+        """Translate ``page``; return stall cycles (0 on hit).
+
+        The reference for :meth:`access_batch`.
+        """
         table = self._table
         if page in table:
             table.move_to_end(page)
@@ -53,8 +52,9 @@ class TranslationBuffer:
     def access_batch(self, lines: np.ndarray) -> int:
         """Translate a whole line array; return the summed stall cycles.
 
-        Bit-identical to folding :meth:`access_line` over ``lines`` —
-        same hit/miss counts and final LRU order — but the page numbers
+        Bit-identical to folding :meth:`access_page` over each line's
+        page — same stall sum, hit/miss counts and final LRU order
+        (``tests/test_cpu.py`` checks it) — but the page numbers
         are computed for the whole array with one vectorized divide, and
         consecutive same-page references are run-length grouped: after
         the first access a page is resident and MRU, so repeats are

@@ -3,7 +3,6 @@
 Static enforcement of the repo's bit-identity and registry invariants:
 
 - ``D1xx`` determinism rules (:mod:`repro.lint.determinism`)
-- ``P2xx`` engine counter-parity rules (:mod:`repro.lint.parity`)
 - ``R3xx`` event/metric registry rules (:mod:`repro.lint.registries`)
   and cache-key honesty (:mod:`repro.lint.cachekeys`)
 - ``F4xx`` fingerprint-coverage rules (:mod:`repro.lint.fingerprint`)
@@ -41,7 +40,6 @@ from repro.lint import (  # noqa: F401
     determinism,
     fingerprint,
     flowrules,
-    parity,
     registries,
 )
 

@@ -1,7 +1,7 @@
 """Module-aware interprocedural call graph over a lint :class:`Project`.
 
-simlint v1 rules reason per file (plus the parity rule's intra-class
-closure).  The v2 flow analyses need to follow a value *across* function
+simlint v1 rules reason per file, or across a few registry modules.
+The v2 flow analyses need to follow a value *across* function
 and module boundaries, which requires three things this module
 provides, all from the AST alone (nothing under analysis is imported):
 

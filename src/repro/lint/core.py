@@ -8,8 +8,8 @@ steps:
    :class:`ModuleSource` (a file that fails to parse becomes an
    ``E001`` violation rather than a crash);
 2. each registered :class:`Rule` inspects the whole
-   :class:`Project` — project scope is what lets the parity and
-   registry rules cross-reference *between* modules;
+   :class:`Project` — project scope is what lets the registry and
+   fingerprint rules cross-reference *between* modules;
 3. violations on lines carrying a ``# simlint: ignore[RULE]`` comment
    (or in files carrying ``# simlint: ignore-file[RULE]``) are
    dropped, the rest are sorted and rendered.
@@ -209,7 +209,7 @@ class Rule:
 
     id: str = ""
     summary: str = ""
-    #: rule family shown by ``--list-rules`` ("determinism", "parity", …).
+    #: rule family shown by ``--list-rules`` ("determinism", "registry", …).
     family: str = "general"
     #: default severity stamped onto findings ("error"/"warning"/"note").
     severity: str = "error"

@@ -1,7 +1,7 @@
 """D-rules: constructs that can break run-to-run bit identity.
 
 The simulator's regression story (goldens, serial≡parallel batches,
-scalar≡batched engines) assumes that a ``(config, seed)`` pair fully
+cached≡uncached grids) assumes that a ``(config, seed)`` pair fully
 determines every counter.  Four construct families silently break that
 assumption, and each gets a rule:
 

@@ -35,7 +35,9 @@ vocabulary must be closed:
 
 All registries are parsed from module ASTs located by path suffix, so
 the rules work identically on the real tree and on test fixtures, and
-never import the code under analysis.
+never import the code under analysis.  :func:`stats_counter_names`
+reads the stats counters of ``sim/stats.py`` the same way, for the
+N5xx taint rules.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
 _EVENTS_SUFFIX = ("obs", "events.py")
 _NAMES_SUFFIX = ("obs", "names.py")
 _SPANS_SUFFIX = ("obs", "spans.py")
+_STATS_SUFFIX = ("sim", "stats.py")
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 _METRIC_LITERAL = re.compile(r"(repro|runner)_[a-z0-9_]+")
@@ -95,6 +98,32 @@ def event_class_names(project: Project) -> Optional[FrozenSet[str]]:
                 names.add(node.name)
                 break
     return frozenset(names)
+
+
+def stats_counter_names(project: Project) -> FrozenSet[str]:
+    """Integer counter fields of the ``*Stats`` dataclasses.
+
+    Parsed statically from ``sim/stats.py``: an ``AnnAssign`` with a
+    literal ``0`` default inside a class whose name ends in ``Stats``.
+    Float energy-cost parameters (non-zero defaults) are excluded.
+    """
+    module = project.find(*_STATS_SUFFIX)
+    if module is None:
+        return frozenset()
+    counters: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Stats")):
+            continue
+        for stmt in node.body:
+            if (
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and isinstance(stmt.value, ast.Constant)
+                and stmt.value.value == 0
+                and not isinstance(stmt.value.value, bool)
+            ):
+                counters.add(stmt.target.id)
+    return frozenset(counters)
 
 
 def declared_span_constants(project: Project) -> Optional[FrozenSet[str]]:

@@ -61,8 +61,7 @@ from repro.lint.determinism import (
     _ImportMap,
     _is_set_expr,
 )
-from repro.lint.parity import stats_counter_names
-from repro.lint.registries import event_class_names
+from repro.lint.registries import event_class_names, stats_counter_names
 
 __all__ = [
     "TaintInterpreter",

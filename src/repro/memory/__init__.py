@@ -1,9 +1,8 @@
-"""Memory substrate: caches, MESI directory, interconnect, DRAM."""
+"""Memory substrate: caches, MESI directory, DRAM."""
 
 from repro.memory.cache import Cache, EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import CoherenceNode, MemoryHierarchy
-from repro.memory.interconnect import PointToPointFabric
 from repro.memory.mesi import Directory
 
 __all__ = [
@@ -15,6 +14,5 @@ __all__ = [
     "MODIFIED",
     "MainMemory",
     "MemoryHierarchy",
-    "PointToPointFabric",
     "SHARED",
 ]

@@ -33,12 +33,18 @@ _NO_VICTIM = (-1, INVALID)
 class Cache:
     """One set-associative cache with LRU replacement and MESI line states.
 
-    The class exposes the minimal operations the hierarchy needs:
+    The class exposes the operations the hierarchy needs:
 
-    - :meth:`lookup` — probe and update LRU, returning the line state.
     - :meth:`fill` — insert a line in a given state, returning any victim.
     - :meth:`invalidate` — remove a line (coherence back-invalidation).
     - :meth:`set_state` — change the MESI state of a resident line.
+    - :meth:`peek` — read a line's state without touching LRU or stats.
+    - :attr:`fast_map` and :attr:`sets` — the probes the hierarchy's
+      replay loop and miss path make inline.
+
+    :meth:`lookup` is the one-call probe those inline probes reproduce
+    (count a hit or miss, touch LRU); ``tests/test_prop_cache.py``
+    drives it against a reference LRU model.
 
     Statistics are recorded in an externally supplied :class:`CacheStats`
     so that several structural caches can share one counter group if a
@@ -70,7 +76,7 @@ class Cache:
         # this dict therefore answers "is this access a pure LRU touch?"
         # for both reads (any resident line) and writes (an M line needs
         # no coherence action) and hands back the touch operation itself
-        # — collapsing the spec path's modulo, set index, state probe
+        # — collapsing :meth:`lookup`'s modulo, set index, state probe
         # and statistics updates into two dict operations per reference.
         self._fast: Dict[int, Callable[[int], None]] = {}
 
@@ -102,7 +108,7 @@ class Cache:
     # structures directly.  The cache contributes the :attr:`fast_map`
     # (see ``_fast`` above) and a bulk statistics sink so the driver can
     # accumulate hit/miss counts in locals and fold them in once per
-    # batch — the counters end up exactly where the spec path puts
+    # batch — the counters end up exactly where :meth:`lookup` puts
     # them, just without a Python-level attribute bump per reference.
 
     @property
@@ -184,10 +190,11 @@ class Cache:
     def lru_snapshot(self) -> List[List[Tuple[int, int]]]:
         """Per-set ``[(line, state), ...]`` lists in LRU→MRU order.
 
-        The engine matrix compares these lists between the spec-method
-        and batched runs of a cell: *order* equality is a stronger check
-        than residency, because two caches that agree here will also
-        agree on every future victim.
+        The exhaustive MESI walk keys its states on these lists, and
+        the left-fold property compares them between a batch and its
+        one-element batches: *order* equality is a stronger check than
+        residency, because two caches that agree here will also agree on
+        every future victim.
         """
         return [list(cache_set.items()) for cache_set in self.sets]
 
@@ -201,7 +208,7 @@ class Cache:
         Raises ``AssertionError`` on any divergence; called from the
         hierarchy's invariant checker (and thus the property suites) so
         a maintenance bug in one of the mutation paths above cannot
-        silently turn batched hits into spec-path misses or vice versa.
+        silently turn a resident line's hit into a miss or vice versa.
         """
         expected = {}
         for cache_set in self.sets:

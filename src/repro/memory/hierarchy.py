@@ -2,27 +2,38 @@
 
 This is the heart of the memory substrate.  Each *node* (a core) has a
 private L1 and a private, inclusive L2.  Nodes are kept coherent by a
-full-map :class:`~repro.memory.mesi.Directory` over a point-to-point
-fabric, with independently charged directory-lookup, cache-to-cache
-transfer, and invalidation latencies, mirroring the paper's Section IV
-model.
+full-map :class:`~repro.memory.mesi.Directory`, with independently
+charged directory-lookup, cache-to-cache transfer, and invalidation
+latencies, mirroring the paper's Section IV model.  The interconnect
+has no latency of its own: its cost is inside those three terms.
 
 The simulator replays whole reference arrays through
 :meth:`MemoryHierarchy.access_batch` / :meth:`access_code_batch`, which
 return the summed *stall cycles* beyond the base CPI.  The one-reference
-spec methods :meth:`access` / :meth:`access_code` are the executable
-specification: each batch entry point is bit-identical to folding its
-spec method over the array (same stalls, statistics and final
-cache/directory state).  The latency schedule is:
+:meth:`access` / :meth:`access_code` are one-element batches, so every
+reference, simulated or tested, takes the same walk.  Its latency
+schedule, where ``L2`` is ``l2.hit_latency`` and the other terms are
+:class:`~repro.sim.config.MemorySystemConfig` latencies:
 
-=====================================  ==============================
-L1 hit                                 0 (folded into base CPI)
-L2 hit                                 ``l2.hit_latency`` (12)
-L2 miss, clean copy in a peer          directory + cache-to-cache
-L2 miss, dirty/exclusive copy in peer  directory + cache-to-cache
-write to a line shared by peers        directory + invalidation
-L2 miss, no cached copy                directory + DRAM (350)
-=====================================  ==============================
+=========================================  ============================
+reference                                  stall cycles
+=========================================  ============================
+L1 hit: read, fetch, or write to E/M line  0 (folded into base CPI)
+L1 hit: write to an S line (upgrade)       directory [+ inv]
+L2 hit: read, fetch, or write to E/M line  L2
+L2 hit: write to an S line (upgrade)       L2 + directory [+ inv]
+L2 miss, E/M copy in a peer                L2 + directory + c2c [+ inv]
+L2 miss, S copies in peers only            L2 + directory + c2c [+ inv]
+L2 miss, no cached copy                    L2 + directory + DRAM
+=========================================  ============================
+
+``[+ inv]`` is one invalidation latency, charged when a write takes the
+line from at least one peer.  A write leaves the line M in the requester
+and uncached everywhere else.  A read or fetch that misses the L2 fills
+E from DRAM, or S from peers; an E/M owner drops to S.  An M supplier
+and an M L2 victim are written back off the critical path.
+``tests/test_mesi_exhaustive.py`` checks every reachable (state,
+reference) of small hierarchies against this table.
 
 Inclusion is enforced: an L2 eviction back-invalidates the node's L1, so
 an L1-resident line is always L2-resident, which lets the L1 act as a
@@ -38,7 +49,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.memory.cache import Cache, EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memory.dram import MainMemory
-from repro.memory.interconnect import PointToPointFabric
 from repro.memory.mesi import Directory, nodes_of
 from repro.sim.config import MemorySystemConfig
 from repro.sim.stats import CacheStats, CoherenceStats, EnergyStats
@@ -92,7 +102,6 @@ class MemoryHierarchy:
         self._l2_hit_latency = config.l2.hit_latency
         self._l2_dir_latency = config.l2.hit_latency + config.directory_latency
         self.directory = Directory(self.coherence)
-        self.fabric = PointToPointFabric()
         self.dram = MainMemory(config.dram_latency)
         self.l1_stats: Dict[str, CacheStats] = {}
         self.l1i_stats: Dict[str, CacheStats] = {}
@@ -115,9 +124,13 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def access(self, node_id: int, line: int, is_write: bool) -> int:
-        """Perform one data access; return stall cycles beyond base CPI."""
+        """Perform one data access; return stall cycles beyond base CPI.
+
+        A one-element :meth:`access_batch`: the access key's low bit is
+        set only for a write.
+        """
         node = self.nodes[node_id]
-        return self._access(node, node.l1, line, is_write)
+        return self._replay_keys(node, node.l1, [(line << 1) | bool(is_write)])
 
     def access_code(self, node_id: int, line: int) -> int:
         """Fetch one instruction line; return stall cycles.
@@ -126,22 +139,11 @@ class MemoryHierarchy:
         unified-L2/directory/DRAM path as a data read (code lines are
         read-shared, so they settle into S/E states and never generate
         invalidation traffic).  Requires the hierarchy to have been
-        built ``with_icache=True``.
+        built ``with_icache=True``.  A one-element
+        :meth:`access_code_batch`.
         """
         node = self.nodes[node_id]
-        return self._access(node, self._l1i(node), line, False)
-
-    def _access(
-        self, node: CoherenceNode, l1: Cache, line: int, is_write: bool
-    ) -> int:
-        """One reference through ``l1`` (the data L1 or the L1I)."""
-        if self.energy is not None:
-            self.energy.l1_accesses += 1
-        if l1.lookup(line) != INVALID:
-            if is_write:
-                return self._write_hit(node, line)
-            return 0
-        return self._miss_fill(node, line, is_write, l1)
+        return self._replay_keys(node, self._l1i(node), [line << 1])
 
     @staticmethod
     def _l1i(node: CoherenceNode) -> Cache:
@@ -155,7 +157,7 @@ class MemoryHierarchy:
         The L1 acts as a presence filter, so the authoritative state
         lives in the L2; an S-state write needs a directory upgrade, an
         E-state write transitions silently, and an M-state write is
-        free.  Shared by :meth:`_access` and :meth:`_replay_keys`.
+        free.
         """
         l2_state = node.l2.peek(line)
         if l2_state == SHARED:
@@ -175,9 +177,7 @@ class MemoryHierarchy:
 
         ``l1`` is the cache that missed — the node's data L1, or its L1I
         for an instruction fetch (which never writes, so code lines
-        settle into S/E states).  Shared by :meth:`_access` and
-        :meth:`_replay_keys` so the two cannot drift; returns the access's
-        stall latency.
+        settle into S/E states).  Returns the access's stall latency.
 
         The L2 probe reads the home set directly, counting the hit or
         miss and doing the LRU touch itself — what :meth:`Cache.lookup`
@@ -227,9 +227,8 @@ class MemoryHierarchy:
     ) -> int:
         """Replay a whole data reference stream; return the summed stalls.
 
-        Bit-identical to folding :meth:`access` over ``(lines, writes)``
-        — same stall total, hit/miss/coherence/energy counters, LRU
-        orders and directory state.
+        ``tests/test_prop_engine_equivalence.py`` checks that a batch
+        equals the left fold of its one-element batches (:meth:`access`).
         """
         node = self.nodes[node_id]
         return self._replay_keys(node, node.l1, ((lines << 1) | writes).tolist())
@@ -237,7 +236,6 @@ class MemoryHierarchy:
     def access_code_batch(self, node_id: int, lines: np.ndarray) -> int:
         """Replay a whole instruction-fetch stream; return summed stalls.
 
-        Bit-identical to folding :meth:`access_code` over ``lines``.
         Code fetches never write, so their access keys are read keys.
         """
         node = self.nodes[node_id]
@@ -246,23 +244,24 @@ class MemoryHierarchy:
     def _replay_keys(
         self, node: CoherenceNode, l1: Cache, keys: List[int]
     ) -> int:
-        """Fold :meth:`_access` over access keys ``(line << 1) | is_write``.
+        """Replay access keys ``(line << 1) | is_write`` through ``l1``.
 
-        Faster than calling :meth:`_access` per reference:
+        ``l1`` is the node's data L1 or its L1I.  Every reference, batched
+        or one at a time, runs this loop:
 
-        - the keys are computed for the whole array with one vectorized
-          shift/or and converted to Python ints once (``.tolist()``)
-          instead of boxing one numpy scalar per iteration;
+        - the batch entry points compute the keys for the whole array
+          with one vectorized shift/or and convert them to Python ints
+          once (``.tolist()``) instead of boxing one numpy scalar per
+          iteration;
         - the dominant fast cases — a read to any L1-resident line, or a
           write to a MODIFIED one, neither of which takes any coherence
           action — collapse into a single probe of the L1's
           :attr:`Cache.fast_map` that yields the home set's bound
-          ``move_to_end``, i.e. exactly the LRU touch :meth:`_access`
-          performs, with hit/miss counts accumulated in locals and
-          folded in once per batch (:meth:`Cache.record_batch`);
-        - every other reference reuses the helpers :meth:`_access`
-          calls (:meth:`_write_hit` / :meth:`_miss_fill`), so the
-          protocol has one encoding.
+          ``move_to_end``, the LRU touch, with hit/miss counts
+          accumulated in locals and folded in once per batch
+          (:meth:`Cache.record_batch`);
+        - a write to a resident S/E line gets its LRU touch and then
+          :meth:`_write_hit`, and an L1 miss goes to :meth:`_miss_fill`.
 
         The write fast path leans on a protocol invariant: an
         L1-resident line's L1 state always mirrors its L2 state (every
@@ -312,7 +311,6 @@ class MemoryHierarchy:
         if others:
             self._invalidate_copies(line, others)
             latency += self.config.invalidation_latency
-            latency += self.fabric.broadcast_latency(node.node_id, len(others))
         self.directory.set_owner(line, node.node_id)
         node.l2.set_state(line, MODIFIED)
         return latency
@@ -336,7 +334,6 @@ class MemoryHierarchy:
             supplier = self.nodes[owner]
             supplier_state = supplier.l2.peek(line)
             latency += self.config.cache_to_cache_latency
-            latency += self.fabric.latency(owner, node.node_id)
             self.coherence.cache_to_cache_transfers += 1
             if is_write:
                 self._invalidate_copies(line, (owner,))
@@ -360,14 +357,11 @@ class MemoryHierarchy:
                 f"directory entry for line {line} inconsistent: "
                 f"sharers={nodes_of(sharers)}, requester={node.node_id}"
             )
-        supplier_id = others[0]
         latency += self.config.cache_to_cache_latency
-        latency += self.fabric.latency(supplier_id, node.node_id)
         self.coherence.cache_to_cache_transfers += 1
         if is_write:
             self._invalidate_copies(line, others)
             latency += self.config.invalidation_latency
-            latency += self.fabric.broadcast_latency(node.node_id, len(others))
             self.directory.set_owner(line, node.node_id)
         else:
             self.directory.record_fill(line, node.node_id, exclusive=False)

@@ -17,11 +17,13 @@ and enforces the protocol invariants:
 - a line in S may be in several caches, all in S;
 - the directory's sharer set exactly matches the caches holding the line.
 
-The hierarchy's spec methods and its batched replay loop reach the
-directory only through the shared miss and upgrade helpers, so every
-protocol transition has a single encoding; the engine matrix checks
-the two paths against each other on final directory state
-(:meth:`Directory.snapshot`).
+The interconnect has no model of its own: its cost is inside the
+directory, cache-to-cache and invalidation latencies the hierarchy
+charges.  Every reference reaches the directory through the
+hierarchy's miss and upgrade helpers, so every protocol transition has
+one encoding, which ``tests/test_mesi_exhaustive.py`` checks against
+the hierarchy's latency table on every reachable state of small
+hierarchies.
 """
 
 from __future__ import annotations
@@ -128,9 +130,10 @@ class Directory:
     def snapshot(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
         """Deterministic ``{line: (owner, sorted sharers)}`` view.
 
-        The differential tests assert that a spec-method and a batched
-        run of the same cell end with *equal snapshots* — a stronger
-        bit-identity check than comparing counters alone.
+        The exhaustive MESI walk keys its states on it, and the
+        left-fold property asserts that a batch and its one-element
+        batches end with *equal snapshots* — a stronger check than
+        comparing counters alone.
         """
         return {
             line: (self._owner.get(line, -1), tuple(nodes_of(mask)))

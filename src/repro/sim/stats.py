@@ -5,14 +5,13 @@ counters) so that the hot simulation loop can bump them without hashing,
 and so that typos fail loudly as ``AttributeError`` instead of silently
 creating new keys.
 
-Mutation discipline: the batched replay loop may *fold* many
+Mutation discipline: the memory hierarchy's replay loop *folds* many
 per-reference bumps into one ``+= n`` (``Cache.record_batch``, its
-per-batch energy updates), but every fold must land on the same counter
-the one-reference spec methods bump — never a new shadow counter — so
-both paths remain bit-comparable attribute by attribute.  The simlint
-P201 parity rule checks the reachable-mutation *sets* of the spec and
-batched entry points statically; folding preserves the set, which is
-why grouped commits pass while dropping a counter from one path fails.
+per-batch energy updates), and every fold lands on the counter one
+reference would bump — never a new shadow counter.  So a batch's
+counters equal those of its one-element batches, attribute by attribute
+(``tests/test_prop_engine_equivalence.py``), and the exhaustive MESI
+walk checks every counter a one-element batch moves.
 """
 
 from __future__ import annotations

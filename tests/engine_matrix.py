@@ -1,33 +1,27 @@
-"""Engine matrix: spec methods × batched entry points, differentially.
+"""Engine matrix: whole cells across the model's features, checked.
 
-The golden suite pins both runs against committed numbers; this
-harness pins them against *each other*, on deeper state than any
-golden records.  Every cell is simulated once under
-:func:`~tests.goldens.regen.spec_methods` (the ``scalar`` run, every
-reference through ``MemoryHierarchy.access``/``access_code``) and once
-as the simulator runs (``batched``), and the two runs must agree on
+Each cell is simulated once, through
+:func:`~repro.sim.simulator.build_engine` exactly as
+:func:`~repro.sim.simulator.simulate` builds it (so a cell with
+``threads_per_user_core > 1`` runs the SMT scheduler), and its memory
+hierarchy must then pass the MESI/fast-map invariant checker
+(:meth:`~repro.memory.hierarchy.MemoryHierarchy.check_invariants`:
+M/E exclusivity, sharer sets matching the caches, inclusion, the L1/L2
+state mirror, the fast maps).  Cells also assert their shape, so a cell
+that stopped exercising what it is for fails: a closed-loop cell
+reports no latency, an open-loop cell records requests, the admission
+cell drops off-loads, and the cold-start cell is miss-dominated.
 
-- every counter in ``SimulationStats`` (as nested dicts),
-- the full trace-event stream, record for record (decision, migration,
-  queue, epoch and — in open-loop cells — request events),
-- the open-loop ``LatencyStats`` snapshot (tail quantiles included),
-- final MESI directory state (owner + sharers per line),
-- the per-set LRU order of every L1/L1I/L2
-  (:meth:`~repro.memory.cache.Cache.lru_snapshot`), which is stronger
-  than residency: caches that agree on order agree on every future
-  victim,
-
-and each run must pass the MESI/fast-map invariant checker.
-
-Engines are built by :func:`~repro.sim.simulator.build_engine`, exactly
-as :func:`~repro.sim.simulator.simulate` builds them, so a cell with
-``threads_per_user_core > 1`` runs the SMT scheduler.
+The per-reference walk these cells drive is checked against the
+hierarchy's latency table by ``tests/test_mesi_exhaustive.py``; the
+goldens pin whole-cell counters.
 
 The default tier runs three smoke cells; ``--runslow`` unlocks the full
 matrix — every golden preset, every service golden cell, an SMT cell,
-and a Hypothesis property that draws random cells across workloads,
-policies, model features and open-loop service configurations (arrival
-model × OS-core pool size × dispatch × admission).
+a miss-heavy cold-start cell, and a Hypothesis property that draws
+random cells across workloads, policies, model features and open-loop
+service configurations (arrival model × OS-core pool size × dispatch ×
+admission).
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.bus import TraceBus
 from repro.offload.migration import AGGRESSIVE
 from repro.os_model.interrupts import InterruptModel
 from repro.os_model.traps import WindowTrapModel
@@ -54,27 +47,7 @@ from repro.sim.simulator import build_engine, make_policy
 from repro.workloads.base import MemoryBehavior, WorkloadSpec
 from repro.workloads.presets import get_workload
 
-from tests.goldens.regen import (
-    ENGINES,
-    GOLDEN_CELLS,
-    SERVICE_CELLS,
-    SERVICE_SEEDS,
-    engine_context,
-)
-
-#: Facets compared across engines, in failure-message order.
-FACETS = ("stats", "events", "latency", "directory", "caches")
-
-
-class _ListSink:
-    def __init__(self):
-        self.records = []
-
-    def write(self, record):
-        self.records.append(record)
-
-    def close(self):
-        pass
+from tests.goldens.regen import GOLDEN_CELLS, SERVICE_CELLS, SERVICE_SEEDS
 
 
 def _service_config(tag: str) -> ServiceConfig:
@@ -90,8 +63,7 @@ def _service_config(tag: str) -> ServiceConfig:
     )
 
 
-def matrix_run(
-    engine: str,
+def run_matrix_cell(
     *,
     workload: Union[str, WorkloadSpec] = "apache",
     policy_name: str = "HI",
@@ -100,7 +72,7 @@ def matrix_run(
     service: ServiceConfig = None,
     **config_kwargs: Any,
 ) -> Dict[str, Any]:
-    """Run one cell as the ``engine`` run; return its comparable facets.
+    """Run one cell and check its invariants; return stats and latency.
 
     ``workload`` is a preset name or a literal :class:`WorkloadSpec`,
     so purpose-built cells (e.g. the miss-heavy cold-start spec below)
@@ -116,42 +88,14 @@ def matrix_run(
     policy = make_policy(
         policy_name, threshold=threshold, spec=spec, config=config
     )
-    sink = _ListSink()
-    sim = build_engine(spec, policy, AGGRESSIVE, config, bus=TraceBus(sink))
-    with engine_context(engine):
-        stats = sim.run()
+    sim = build_engine(spec, policy, AGGRESSIVE, config)
+    stats = sim.run()
     sim.hierarchy.check_invariants()
     latency = sim.latency_snapshot()
-    caches = []
-    for node in sim.hierarchy.nodes:
-        caches.append(node.l1.lru_snapshot())
-        caches.append(
-            node.l1i.lru_snapshot() if node.l1i is not None else None
-        )
-        caches.append(node.l2.lru_snapshot())
     return {
         "stats": dataclasses.asdict(stats),
-        "events": sink.records,
         "latency": latency.to_dict() if latency is not None else None,
-        "directory": sim.hierarchy.directory.snapshot(),
-        "caches": caches,
     }
-
-
-def assert_matrix_identical(**cell_kwargs: Any) -> Dict[str, Any]:
-    """Run a cell both ways; fail on the first facet drift.
-
-    Returns the scalar reference run so callers can assert cell-shape
-    properties (e.g. that an open-loop cell actually recorded requests).
-    """
-    runs = {engine: matrix_run(engine, **cell_kwargs) for engine in ENGINES}
-    reference = runs["scalar"]
-    for facet in FACETS:
-        assert runs["batched"][facet] == reference[facet], (
-            f"batched run diverged from the spec methods on {facet!r} "
-            f"for cell {cell_kwargs!r}"
-        )
-    return reference
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +105,12 @@ def assert_matrix_identical(**cell_kwargs: Any) -> Dict[str, Any]:
 
 
 def test_matrix_default_cell():
-    reference = assert_matrix_identical()
-    assert reference["latency"] is None  # closed loop reports no latency
+    cell = run_matrix_cell()
+    assert cell["latency"] is None  # closed loop reports no latency
 
 
 def test_matrix_open_loop_pool_cell():
-    reference = assert_matrix_identical(
+    cell = run_matrix_cell(
         num_user_cores=2,
         service=ServiceConfig(
             arrivals="poisson",
@@ -175,11 +119,11 @@ def test_matrix_open_loop_pool_cell():
             dispatch="steal",
         ),
     )
-    assert reference["latency"]["requests"] > 0
+    assert cell["latency"]["requests"] > 0
 
 
 def test_matrix_feature_loaded_cell():
-    assert_matrix_identical(
+    run_matrix_cell(
         seed=7,
         enable_icache=True,
         enable_tlb=True,
@@ -196,7 +140,7 @@ def test_matrix_feature_loaded_cell():
 @pytest.mark.slow
 @pytest.mark.parametrize("workload,seed", GOLDEN_CELLS)
 def test_matrix_golden_presets(workload, seed):
-    assert_matrix_identical(workload=workload, seed=seed)
+    run_matrix_cell(workload=workload, seed=seed)
 
 
 @pytest.mark.slow
@@ -205,24 +149,24 @@ def test_matrix_golden_presets(workload, seed):
     [(tag, seed) for tag, _, _, _ in SERVICE_CELLS for seed in SERVICE_SEEDS],
 )
 def test_matrix_service_cells(tag, seed):
-    reference = assert_matrix_identical(
+    cell = run_matrix_cell(
         seed=seed, num_user_cores=2, service=_service_config(tag)
     )
-    assert reference["latency"]["requests"] > 0
+    assert cell["latency"]["requests"] > 0
 
 
 @pytest.mark.slow
 def test_matrix_smt_admission_cell():
     """Two threads per user core, with every off-load that would queue
     behind another demoted to local execution by admission control."""
-    reference = assert_matrix_identical(
+    cell = run_matrix_cell(
         num_user_cores=2,
         threads_per_user_core=2,
         enable_icache=True,
         enable_tlb=True,
         service=ServiceConfig(admission="backlog", admission_backlog_cycles=0),
     )
-    assert reference["stats"]["offload"]["admission_drops"] > 0
+    assert cell["stats"]["offload"]["admission_drops"] > 0
 
 
 _MB = 1024 * 1024
@@ -230,8 +174,8 @@ _MB = 1024 * 1024
 #: Cold-start, miss-heavy cell: the working set is drawn almost
 #: uniformly from far more lines than the run can touch twice, so
 #: nearly every batch is dominated by first-touch misses and the
-#: batched engine's per-reference fallback carries the run (with a
-#: sprinkle of user/OS sharing so peer transfers are exercised too).
+#: miss path carries the run (with a sprinkle of user/OS sharing so
+#: peer transfers are exercised too).
 #: Working-set lines are full-scale; the profile divides them by 32.
 MISS_HEAVY_SPEC = WorkloadSpec(
     name="matrix-miss-heavy",
@@ -264,7 +208,7 @@ MISS_HEAVY_MEMORY = MemorySystemConfig(
 
 @pytest.mark.slow
 def test_matrix_miss_heavy_cold_start_cell():
-    reference = assert_matrix_identical(
+    cell = run_matrix_cell(
         workload=MISS_HEAVY_SPEC,
         num_user_cores=2,
         enable_icache=True,
@@ -274,7 +218,7 @@ def test_matrix_miss_heavy_cold_start_cell():
     )
     # Cell shape: data-side L1 traffic must be miss-dominated.
     user_l1 = [
-        s for label, s in reference["stats"]["l1"].items()
+        s for label, s in cell["stats"]["l1"].items()
         if label.startswith("user")
     ]
     assert sum(s["misses"] for s in user_l1) > sum(s["hits"] for s in user_l1)
@@ -315,4 +259,4 @@ MATRIX_CELLS = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_matrix_on_random_cells(cell):
-    assert_matrix_identical(**cell)
+    run_matrix_cell(**cell)

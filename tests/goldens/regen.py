@@ -1,17 +1,11 @@
 """Golden-trace snapshots: regenerate the committed SimulationStats JSONs.
 
 Each golden pins the *complete* ``SimulationStats`` of one simulated
-cell — every cache/core/coherence/predictor/offload counter — as
-computed by the memory hierarchy's one-reference *spec methods* at
-``TEST_SCALE``.  The suite in ``tests/test_goldens.py`` replays the same
-cells on the spec methods and on the batched entry points the simulator
-runs, and fails with a per-counter diff on any drift, so a behaviour
-change in the memory model cannot slip through as a plausible-looking
-number.
-
-:func:`spec_methods` is the switch every differential suite shares: it
-turns the batch entry points into plain folds of their spec methods for
-the duration of a ``with`` block.
+cell — every cache/core/coherence/predictor/offload counter — at
+``TEST_SCALE``.  The suite in ``tests/test_goldens.py`` replays each
+cell once and fails with a per-counter diff on any drift, so a
+behaviour change in the memory model cannot slip through as a
+plausible-looking number.
 
 Regenerate (only after an intentional model change, with the diff
 reviewed counter by counter)::
@@ -35,18 +29,13 @@ overlaps one thread's off-load with its sibling's execution.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import pathlib
 import sys
-from typing import Any, ContextManager, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
-
-#: Run labels of the differential suites: ``"scalar"`` runs under
-#: :func:`spec_methods`, ``"batched"`` runs the simulator unmodified.
-ENGINES: Tuple[str, ...] = ("scalar", "batched")
 
 #: (workload preset, root seed) per golden; two seeds per preset so a
 #: seed-handling regression cannot cancel out in a single stream.
@@ -88,58 +77,6 @@ SMT_CELLS: Tuple[Tuple[str, str, int, int], ...] = (
 SMT_SEEDS: Tuple[int, ...] = (2010, 7)
 
 
-@contextlib.contextmanager
-def spec_methods() -> Iterator[None]:
-    """Run every memory batch entry point as a fold of its spec method.
-
-    While active, ``MemoryHierarchy.access_batch`` folds ``access``,
-    ``MemoryHierarchy.access_code_batch`` folds ``access_code`` and
-    ``TranslationBuffer.access_batch`` folds ``access_line`` over their
-    arrays, one reference per call, so a simulation replays every
-    reference through the executable specification.  The original
-    methods are restored on exit.
-    """
-    from repro.cpu.tlb import TranslationBuffer
-    from repro.memory.hierarchy import MemoryHierarchy
-
-    def access_batch(self: Any, node_id: int, lines: Any, writes: Any) -> int:
-        access = self.access
-        return sum(
-            access(node_id, line, is_write)
-            for line, is_write in zip(lines.tolist(), writes.tolist())
-        )
-
-    def access_code_batch(self: Any, node_id: int, lines: Any) -> int:
-        access_code = self.access_code
-        return sum(access_code(node_id, line) for line in lines.tolist())
-
-    def translate_batch(self: Any, lines: Any) -> int:
-        return sum(map(self.access_line, lines.tolist()))
-
-    folds = (
-        (MemoryHierarchy, "access_batch", access_batch),
-        (MemoryHierarchy, "access_code_batch", access_code_batch),
-        (TranslationBuffer, "access_batch", translate_batch),
-    )
-    originals = [(owner, name, owner.__dict__[name]) for owner, name, _ in folds]
-    for owner, name, fold in folds:
-        setattr(owner, name, fold)
-    try:
-        yield
-    finally:
-        for owner, name, original in originals:
-            setattr(owner, name, original)
-
-
-def engine_context(engine: str) -> ContextManager[None]:
-    """The context a differential run labelled ``engine`` executes in."""
-    if engine == "scalar":
-        return spec_methods()
-    if engine == "batched":
-        return contextlib.nullcontext()
-    raise ValueError(f"engine label must be one of {ENGINES}, got {engine!r}")
-
-
 def golden_path(workload: str, seed: int) -> pathlib.Path:
     return GOLDEN_DIR / f"{workload}_seed{seed}.json"
 
@@ -153,13 +90,13 @@ def smt_golden_path(tag: str, seed: int) -> pathlib.Path:
 
 
 def run_cell(
-    workload: str, seed: int, engine: str, trace_store: Any = None
+    workload: str, seed: int, trace_store: Any = None
 ) -> Dict[str, Any]:
     """Simulate one golden cell; return its stats as a plain dict.
 
-    ``engine`` is a label from :data:`ENGINES`.  ``trace_store`` (a
-    :class:`repro.cache.TraceStore`) lets the cache suite assert that
-    replaying a materialized trace reproduces these exact goldens.
+    ``trace_store`` (a :class:`repro.cache.TraceStore`) lets the cache
+    suite assert that replaying a materialized trace reproduces these
+    exact goldens.
     """
     from repro.offload.migration import MigrationModel
     from repro.sim.config import SimulatorConfig, TEST_SCALE
@@ -172,15 +109,12 @@ def run_cell(
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    with engine_context(engine):
-        result = simulate(
-            spec, policy, migration, config, trace_store=trace_store
-        )
+    result = simulate(spec, policy, migration, config, trace_store=trace_store)
     return dataclasses.asdict(result.stats)
 
 
 def run_service_cell(
-    tag: str, seed: int, engine: str, trace_store: Any = None
+    tag: str, seed: int, trace_store: Any = None
 ) -> Dict[str, Any]:
     """Simulate one open-loop service golden cell.
 
@@ -214,10 +148,7 @@ def run_service_cell(
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    with engine_context(engine):
-        result = simulate(
-            spec, policy, migration, config, trace_store=trace_store
-        )
+    result = simulate(spec, policy, migration, config, trace_store=trace_store)
     return {
         "stats": dataclasses.asdict(result.stats),
         "latency": result.latency.to_dict(),
@@ -225,7 +156,7 @@ def run_service_cell(
 
 
 def run_smt_cell(
-    tag: str, seed: int, engine: str, trace_store: Any = None
+    tag: str, seed: int, trace_store: Any = None
 ) -> Dict[str, Any]:
     """Simulate one SMT golden cell; return its stats as a plain dict."""
     from repro.offload.migration import MigrationModel
@@ -247,10 +178,7 @@ def run_smt_cell(
     policy = make_policy(
         "HI", threshold=100, migration=migration, spec=spec, config=config
     )
-    with engine_context(engine):
-        result = simulate(
-            spec, policy, migration, config, trace_store=trace_store
-        )
+    result = simulate(spec, policy, migration, config, trace_store=trace_store)
     return dataclasses.asdict(result.stats)
 
 
@@ -284,19 +212,19 @@ def main(argv: Tuple[str, ...] = tuple(sys.argv[1:])) -> int:
     check = "--check" in argv
     drift = 0
     cells = [
-        (golden_path(w, s), lambda w=w, s=s: run_cell(w, s, engine="scalar"))
+        (golden_path(w, s), lambda w=w, s=s: run_cell(w, s))
         for w, s in GOLDEN_CELLS
     ] + [
         (
             service_golden_path(tag, s),
-            lambda tag=tag, s=s: run_service_cell(tag, s, engine="scalar"),
+            lambda tag=tag, s=s: run_service_cell(tag, s),
         )
         for tag, _, _, _ in SERVICE_CELLS
         for s in SERVICE_SEEDS
     ] + [
         (
             smt_golden_path(tag, s),
-            lambda tag=tag, s=s: run_smt_cell(tag, s, engine="scalar"),
+            lambda tag=tag, s=s: run_smt_cell(tag, s),
         )
         for tag, _, _, _ in SMT_CELLS
         for s in SMT_SEEDS

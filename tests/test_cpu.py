@@ -1,6 +1,9 @@
 """Unit tests for the CPU substrate: registers, core, TLB, branches."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.branch import BranchInterferenceModel
 from repro.cpu.core import InOrderCore
@@ -116,11 +119,49 @@ class TestTLB:
         assert tlb.access_page(1) == 0
         assert tlb.access_page(2) == 60
 
-    def test_access_line_maps_to_page(self):
-        tlb = TranslationBuffer(entries=4)
-        tlb.access_line(0)
-        assert tlb.access_line(LINES_PER_PAGE - 1) == 0  # same page
-        assert tlb.access_line(LINES_PER_PAGE) > 0  # next page
+    def test_access_batch_maps_lines_to_pages(self):
+        tlb = TranslationBuffer(entries=4, miss_penalty=60)
+        # Lines 0 and LINES_PER_PAGE - 1 share page 0: one miss, one hit.
+        assert tlb.access_batch(np.array([0, LINES_PER_PAGE - 1])) == 60
+        assert tlb.access_batch(np.array([LINES_PER_PAGE])) == 60  # page 1
+        assert (tlb.hits, tlb.misses) == (1, 2)
+
+    @given(
+        entries=st.integers(min_value=1, max_value=3),
+        batches=st.lists(
+            st.lists(  # one batch: runs of same-page references
+                st.tuples(
+                    st.integers(min_value=0, max_value=5),  # page
+                    st.lists(  # line offsets within the page
+                        st.integers(min_value=0, max_value=LINES_PER_PAGE - 1),
+                        min_size=1,
+                        max_size=4,
+                    ),
+                ),
+                max_size=12,
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_access_batch_equals_access_page_fold(self, entries, batches):
+        # Six pages over at most three entries: the draws evict.
+        batched = TranslationBuffer(entries=entries, miss_penalty=60)
+        reference = TranslationBuffer(entries=entries, miss_penalty=60)
+        for runs in batches:
+            lines = [
+                page * LINES_PER_PAGE + offset
+                for page, offsets in runs
+                for offset in offsets
+            ]
+            stalls = batched.access_batch(np.array(lines, dtype=np.int64))
+            assert stalls == sum(
+                reference.access_page(line // LINES_PER_PAGE) for line in lines
+            )
+        assert (batched.hits, batched.misses) == (
+            reference.hits, reference.misses
+        )
+        assert list(batched._table) == list(reference._table)
 
     def test_flush(self):
         tlb = TranslationBuffer(entries=4, miss_penalty=10)

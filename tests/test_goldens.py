@@ -1,16 +1,13 @@
 """Golden-trace regression suite.
 
 Every committed golden under ``tests/goldens/`` pins the full
-``SimulationStats`` of one cell as computed by the memory hierarchy's
-one-reference spec methods.  The tests replay each cell twice — once
-under :func:`~tests.goldens.regen.spec_methods` (the ``scalar`` run)
-and once as the simulator runs (``batched``) — and compare counter by
-counter, so they catch two distinct failure modes:
-
-- *model drift*: any change to the memory/offload model silently moving
-  a counter (scalar run vs. golden);
-- *batch divergence*: the batched entry points disagreeing with the
-  spec methods on any counter (batched run vs. the same golden).
+``SimulationStats`` of one cell.  The tests replay each cell once, as
+the simulator runs it, and compare counter by counter, so any change to
+the memory/offload model that silently moves a counter fails here.
+The memory model's per-reference latencies and transitions are checked
+against its latency table by ``tests/test_mesi_exhaustive.py``; the
+goldens catch what that walk cannot see: the off-load, core and
+predictor accounting, and the reference streams the engine replays.
 
 On drift the failure message lists every differing counter as a
 ``dot.path: golden -> actual`` line.  If the change was intentional,
@@ -25,7 +22,6 @@ import json
 import pytest
 
 from tests.goldens.regen import (
-    ENGINES,
     GOLDEN_CELLS,
     SERVICE_CELLS,
     SERVICE_SEEDS,
@@ -54,15 +50,14 @@ def _diff_lines(golden, actual):
 
 
 @pytest.mark.parametrize("workload,seed", GOLDEN_CELLS)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_golden_stats(workload, seed, engine):
+def test_golden_stats(workload, seed):
     path = golden_path(workload, seed)
     golden = json.loads(path.read_text())
-    actual = run_cell(workload, seed, engine=engine)
+    actual = run_cell(workload, seed)
     diff = _diff_lines(golden, actual)
     if diff:
         pytest.fail(
-            f"{engine} engine drifted from {path.name} "
+            f"cell drifted from {path.name} "
             f"({len(diff)} counters):\n" + "\n".join(diff) + "\n"
             "If intentional: PYTHONPATH=src python tests/goldens/regen.py",
             pytrace=False,
@@ -73,16 +68,15 @@ def test_golden_stats(workload, seed, engine):
     "tag,seed",
     [(tag, seed) for tag, _, _, _ in SERVICE_CELLS for seed in SERVICE_SEEDS],
 )
-@pytest.mark.parametrize("engine", ENGINES)
-def test_service_golden_stats(tag, seed, engine):
+def test_service_golden_stats(tag, seed):
     """Open-loop cells: stats AND the latency snapshot must reproduce."""
     path = service_golden_path(tag, seed)
     golden = json.loads(path.read_text())
-    actual = run_service_cell(tag, seed, engine=engine)
+    actual = run_service_cell(tag, seed)
     diff = _diff_lines(golden, actual)
     if diff:
         pytest.fail(
-            f"{engine} engine drifted from {path.name} "
+            f"cell drifted from {path.name} "
             f"({len(diff)} counters):\n" + "\n".join(diff) + "\n"
             "If intentional: PYTHONPATH=src python tests/goldens/regen.py",
             pytrace=False,
@@ -93,16 +87,15 @@ def test_service_golden_stats(tag, seed, engine):
     "tag,seed",
     [(tag, seed) for tag, _, _, _ in SMT_CELLS for seed in SMT_SEEDS],
 )
-@pytest.mark.parametrize("engine", ENGINES)
-def test_smt_golden_stats(tag, seed, engine):
+def test_smt_golden_stats(tag, seed):
     """Two threads per user core: the blocked-switch scheduler's stats."""
     path = smt_golden_path(tag, seed)
     golden = json.loads(path.read_text())
-    actual = run_smt_cell(tag, seed, engine=engine)
+    actual = run_smt_cell(tag, seed)
     diff = _diff_lines(golden, actual)
     if diff:
         pytest.fail(
-            f"{engine} engine drifted from {path.name} "
+            f"cell drifted from {path.name} "
             f"({len(diff)} counters):\n" + "\n".join(diff) + "\n"
             "If intentional: PYTHONPATH=src python tests/goldens/regen.py",
             pytrace=False,

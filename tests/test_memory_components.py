@@ -1,33 +1,9 @@
-"""Unit tests for the interconnect and DRAM endpoints."""
+"""Unit tests for the DRAM endpoint."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.memory.dram import MainMemory
-from repro.memory.interconnect import PointToPointFabric
-
-
-class TestFabric:
-    def test_self_messages_are_free(self):
-        fabric = PointToPointFabric(base_latency=10, per_hop_latency=5)
-        assert fabric.latency(0, 0) == 0
-        assert fabric.messages == 0
-
-    def test_point_to_point_latency(self):
-        fabric = PointToPointFabric(base_latency=10, per_hop_latency=5)
-        assert fabric.latency(0, 1) == 15
-        assert fabric.messages == 1
-
-    def test_broadcast_critical_path(self):
-        fabric = PointToPointFabric(base_latency=10, per_hop_latency=5)
-        # Parallel invalidations: cost independent of fan-out.
-        assert fabric.broadcast_latency(0, 3) == 15
-        assert fabric.messages == 3
-        assert fabric.broadcast_latency(0, 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            PointToPointFabric(base_latency=-1)
 
 
 class TestDram:

@@ -71,21 +71,12 @@ def test_cached_replay_reproduces_goldens(workload, seed, tmp_path):
     # Cold pass materializes; warm pass replays from the same store's
     # LRU; a fresh store instance replays from disk.
     cold_store = TraceStore(root)
-    assert run_cell(workload, seed, "scalar", trace_store=cold_store) == committed
-    assert run_cell(workload, seed, "scalar", trace_store=cold_store) == committed
+    assert run_cell(workload, seed, trace_store=cold_store) == committed
+    assert run_cell(workload, seed, trace_store=cold_store) == committed
     disk_store = TraceStore(root)
-    assert run_cell(workload, seed, "scalar", trace_store=disk_store) == committed
+    assert run_cell(workload, seed, trace_store=disk_store) == committed
     assert disk_store.counters["trace_misses"] == 0
     assert disk_store.counters["trace_hits"] > 0
-
-
-def test_cached_replay_batched_engine_matches_goldens(tmp_path):
-    workload, seed = GOLDEN_CELLS[0]
-    committed = json.loads(golden_path(workload, seed).read_text())
-    store = TraceStore(_store_root(tmp_path))
-    assert run_cell(workload, seed, "batched", trace_store=store) == committed
-    # The same entries replay onto the spec methods unchanged.
-    assert run_cell(workload, seed, "scalar", trace_store=store) == committed
 
 
 def _run_stats(config: SimulatorConfig, trace_store=None):
@@ -127,7 +118,7 @@ def test_lru_eviction_keeps_replay_correct(tmp_path):
     store = TraceStore(_store_root(tmp_path), max_entries=1)
     for workload, seed in GOLDEN_CELLS[:2]:
         committed = json.loads(golden_path(workload, seed).read_text())
-        assert run_cell(workload, seed, "scalar", trace_store=store) == committed
+        assert run_cell(workload, seed, trace_store=store) == committed
     assert len(store._lru) == 1
 
 
@@ -214,17 +205,17 @@ def test_corrupt_npz_falls_back_with_warning(tmp_path, caplog):
     workload, seed = GOLDEN_CELLS[0]
     committed = json.loads(golden_path(workload, seed).read_text())
     root = _store_root(tmp_path)
-    run_cell(workload, seed, "scalar", trace_store=TraceStore(root))
+    run_cell(workload, seed, trace_store=TraceStore(root))
     for npz in _trace_files(root, ".npz"):
         npz.write_bytes(npz.read_bytes()[:100])
     store = TraceStore(root)
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        assert run_cell(workload, seed, "scalar", trace_store=store) == committed
+        assert run_cell(workload, seed, trace_store=store) == committed
     assert any("corrupt trace-cache entry" in r.message for r in caplog.records)
     assert store.counters["trace_misses"] > 0
     # The regenerated entries were written back and are readable again.
     fresh = TraceStore(root)
-    assert run_cell(workload, seed, "scalar", trace_store=fresh) == committed
+    assert run_cell(workload, seed, trace_store=fresh) == committed
     assert fresh.counters["trace_misses"] == 0
 
 
@@ -232,12 +223,12 @@ def test_unreadable_manifest_falls_back_with_warning(tmp_path, caplog):
     workload, seed = GOLDEN_CELLS[0]
     committed = json.loads(golden_path(workload, seed).read_text())
     root = _store_root(tmp_path)
-    run_cell(workload, seed, "scalar", trace_store=TraceStore(root))
+    run_cell(workload, seed, trace_store=TraceStore(root))
     for manifest in _trace_files(root, ".json"):
         manifest.write_text("{ not json")
     store = TraceStore(root)
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        assert run_cell(workload, seed, "scalar", trace_store=store) == committed
+        assert run_cell(workload, seed, trace_store=store) == committed
     assert any(
         "unreadable trace-cache manifest" in r.message for r in caplog.records
     )
@@ -247,27 +238,27 @@ def test_manifest_schema_stamp_invalidates_entry(tmp_path, caplog):
     workload, seed = GOLDEN_CELLS[0]
     committed = json.loads(golden_path(workload, seed).read_text())
     root = _store_root(tmp_path)
-    run_cell(workload, seed, "scalar", trace_store=TraceStore(root))
+    run_cell(workload, seed, trace_store=TraceStore(root))
     for path in _trace_files(root, ".json"):
         manifest = json.loads(path.read_text())
         manifest["schema"] = CACHE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(manifest))
     store = TraceStore(root)
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        assert run_cell(workload, seed, "scalar", trace_store=store) == committed
+        assert run_cell(workload, seed, trace_store=store) == committed
     assert store.counters["trace_misses"] > 0
 
 
 def test_schema_bump_changes_every_key(tmp_path, monkeypatch):
     workload, seed = GOLDEN_CELLS[0]
     root = _store_root(tmp_path)
-    run_cell(workload, seed, "scalar", trace_store=TraceStore(root))
+    run_cell(workload, seed, trace_store=TraceStore(root))
     before = {p.name for p in _trace_files(root, ".json")}
     import repro.cache.keys as keys
 
     monkeypatch.setattr(keys, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
     store = TraceStore(root)
-    run_cell(workload, seed, "scalar", trace_store=store)
+    run_cell(workload, seed, trace_store=store)
     after = {p.name for p in _trace_files(root, ".json")}
     assert store.counters["trace_hits"] == 0
     assert before and before.isdisjoint(after - before)
@@ -431,7 +422,7 @@ def test_cache_root_hosts_shared_baselines(tmp_path):
 
 def test_maintenance_stats_gc_clear(tmp_path):
     root = _store_root(tmp_path)
-    run_cell(*GOLDEN_CELLS[0], "scalar", trace_store=TraceStore(root))
+    run_cell(*GOLDEN_CELLS[0], trace_store=TraceStore(root))
     ResultStore(root).put("job", "fp", {"throughput": 1.0})
     stats = cache_stats(root)
     assert stats["files"] > 0 and stats["bytes"] > 0
@@ -444,7 +435,7 @@ def test_maintenance_stats_gc_clear(tmp_path):
             os.utime(path, (0, 0))
     swept = cache_gc(root, max_age_days=30)
     assert swept["removed"] == stats["files"]
-    run_cell(*GOLDEN_CELLS[0], "scalar", trace_store=TraceStore(root))
+    run_cell(*GOLDEN_CELLS[0], trace_store=TraceStore(root))
     cleared = cache_clear(root)
     assert cleared["removed"] > 0
     assert cache_stats(root)["files"] == 0
