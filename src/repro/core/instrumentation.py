@@ -25,8 +25,8 @@ from typing import Dict, Mapping
 
 from repro.errors import ConfigurationError
 from repro.sim.config import ScaleProfile
-from repro.workloads.base import OSInvocation, WorkloadSpec
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.base import WorkloadSpec
+from repro.workloads.generator import invocation_stream
 
 #: Decision cost of the hardware predictor (Section III: single cycle).
 HARDWARE_DECISION_COST = 1
@@ -92,20 +92,15 @@ class OfflineProfile:
         arguments, so the last few are memoized: every SI cell of a grid
         shares its workload's profile.
         """
-        generator = TraceGenerator(spec, profile, seed=seed)
         totals: Dict[int, float] = {}
         counts: Dict[int, int] = {}
         seen = 0
-        # A generous instruction budget; iteration stops at the target
-        # invocation count.
-        for event in generator.events(instruction_budget=2 ** 62):
-            if not isinstance(event, OSInvocation):
-                continue
+        for event in invocation_stream(
+            spec, profile, seed, num_invocations, include_window_traps=True
+        ):
             totals[event.vector] = totals.get(event.vector, 0.0) + event.length
             counts[event.vector] = counts.get(event.vector, 0) + 1
             seen += 1
-            if seen >= num_invocations:
-                break
         means = {vector: totals[vector] / counts[vector] for vector in totals}
         return cls(means, seen)
 

@@ -17,21 +17,22 @@ exact/close decomposition, averaged over the server workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import render_table
-from repro.core.astate import astate_hash
 from repro.core.predictor import (
     DIRECT_MAPPED,
     FULLY_ASSOCIATIVE,
     RunLengthPredictor,
-    is_close,
 )
+from repro.experiments.predictor_accuracy import score_predictor
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile
-from repro.workloads.base import OSInvocation
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import invocation_stream
 from repro.workloads.presets import SERVER_WORKLOADS, get_workload
+
+#: Seed of the invocation streams every variant is scored on.
+STREAM_SEED = 31
 
 
 @dataclass
@@ -71,46 +72,6 @@ class PredictorAblationResult:
         raise KeyError(label)
 
 
-def _score_variant(
-    make_predictor,
-    workloads: Sequence[str],
-    invocations: int,
-    profile: ScaleProfile,
-    seed: int = 31,
-) -> Tuple[float, float, float]:
-    """(exact, close, binary@500) averaged across workloads."""
-    exact_rates, close_rates, binary_rates = [], [], []
-    for name in workloads:
-        spec = get_workload(name)
-        generator = TraceGenerator(spec, profile, seed=seed)
-        predictor = make_predictor()
-        seen = exact = close = binary = 0
-        for event in generator.events(2 ** 62):
-            if not isinstance(event, OSInvocation) or event.is_window_trap:
-                continue
-            astate = astate_hash(event.astate)
-            predicted = predictor.predict_hash(astate)
-            actual = event.length
-            if predicted == actual:
-                exact += 1
-            elif is_close(predicted, actual):
-                close += 1
-            if (predicted > 500) == (actual > 500):
-                binary += 1
-            predictor.observe_hash(astate, predicted, actual)
-            seen += 1
-            if seen >= invocations:
-                break
-        exact_rates.append(exact / seen)
-        close_rates.append(close / seen)
-        binary_rates.append(binary / seen)
-    return (
-        arithmetic_mean(exact_rates),
-        arithmetic_mean(close_rates),
-        arithmetic_mean(binary_rates),
-    )
-
-
 def run_predictor_ablation(
     workloads: Sequence[str] = SERVER_WORKLOADS,
     invocations: int = 12000,
@@ -133,17 +94,27 @@ def run_predictor_ablation(
     variants["CAM-200 no fallback"] = lambda: RunLengthPredictor(
         use_global_fallback=False
     )
+    # Every variant is scored on the same streams, so draw each once.
+    streams = [
+        list(invocation_stream(
+            get_workload(name), profile, STREAM_SEED, invocations,
+            include_window_traps=False,
+        ))
+        for name in workloads
+    ]
     scores: List[VariantScore] = []
     for label, factory in variants.items():
-        exact, close, binary = _score_variant(
-            factory, workloads, invocations, profile
-        )
+        per_stream = [
+            score_predictor(factory(), stream, (500,)) for stream in streams
+        ]
         scores.append(
             VariantScore(
                 label=label,
-                exact_rate=exact,
-                close_rate=close,
-                binary_accuracy_500=binary,
+                exact_rate=arithmetic_mean(s.exact_rate for s in per_stream),
+                close_rate=arithmetic_mean(s.close_rate for s in per_stream),
+                binary_accuracy_500=arithmetic_mean(
+                    s.binary_accuracy(500) for s in per_stream
+                ),
                 storage_bytes=factory().storage_bits() // 8,
             )
         )

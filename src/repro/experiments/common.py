@@ -4,9 +4,8 @@ Every experiment module follows the same pattern: a ``run_*`` function
 that executes the simulations and returns a result dataclass, and a
 ``render()`` on the result that prints the paper-shaped table.  This
 module centralises the pieces they share: the workload grouping the
-paper reports (three servers plus one averaged compute group), a
-baseline cache so the same uni-processor run is never simulated twice,
-the default experiment configuration, and :func:`run_job_grid` — the
+paper reports (three servers plus one averaged compute group), the
+default experiment configuration, and :func:`run_job_grid` — the
 bridge from experiment grids to the :mod:`repro.runner` batch-execution
 subsystem (``jobs`` worker processes, checkpoint/resume, metrics).
 """
@@ -19,7 +18,6 @@ from repro.analysis.metrics import arithmetic_mean
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import BatchResult, BatchRunner, JobSpec
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile, SimulatorConfig
-from repro.sim.simulator import SimulationResult, simulate_baseline
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.presets import (
     COMPUTE_WORKLOADS,
@@ -58,30 +56,6 @@ def group_members(group: str, compute_members: Sequence[str] = COMPUTE_SUBSET) -
     if group == "compute":
         return list(compute_members)
     return [group]
-
-
-class BaselineCache:
-    """Memoises uni-processor baseline runs per (workload, config seed).
-
-    Baselines are pure functions of (spec, config); each experiment would
-    otherwise re-simulate them for every policy/latency/threshold cell.
-    Parallel grids share baselines across processes through
-    :class:`~repro.runner.baselines.BaselineStore` instead.
-    """
-
-    def __init__(self, config: SimulatorConfig):
-        self.config = config
-        self._cache: Dict[str, SimulationResult] = {}
-
-    def get(self, spec: WorkloadSpec) -> SimulationResult:
-        result = self._cache.get(spec.name)
-        if result is None:
-            result = simulate_baseline(spec, self.config)
-            self._cache[spec.name] = result
-        return result
-
-    def throughput(self, spec: WorkloadSpec) -> float:
-        return self.get(spec).throughput
 
 
 def average_group(values_by_workload: Dict[str, float], members: Sequence[str]) -> float:

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.tables import render_table
 from repro.core.policies import HardwareInstrumentation
 from repro.core.threshold import DynamicThresholdController
-from repro.experiments.common import BaselineCache, THRESHOLD_GRID, default_config
+from repro.experiments.common import THRESHOLD_GRID, default_config
 from repro.offload.migration import AGGRESSIVE, MigrationModel
 from repro.sim.config import SimulatorConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import simulate, simulate_baseline
 from repro.workloads.presets import SERVER_WORKLOADS, get_workload
 
 
@@ -79,11 +79,10 @@ def run_dynamic_threshold(
     grid: Sequence[int] = THRESHOLD_GRID,
 ) -> DynamicThresholdResult:
     config = config or default_config()
-    baselines = BaselineCache(config)
     outcomes: Dict[str, DynamicThresholdOutcome] = {}
     for name in workloads:
         spec = get_workload(name)
-        base = baselines.throughput(spec)
+        base = simulate_baseline(spec, config).throughput
 
         best_value, best_threshold = float("-inf"), grid[0]
         default_value = 0.0

@@ -24,14 +24,13 @@ from repro.analysis.tables import render_table
 from repro.core.instrumentation import InstrumentationCosts
 from repro.core.policies import DynamicInstrumentation
 from repro.experiments.common import (
-    BaselineCache,
     FULL_COMPUTE_GROUP,
     default_config,
     group_members,
 )
 from repro.offload.migration import FREE
 from repro.sim.config import SimulatorConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import simulate, simulate_baseline
 from repro.workloads.presets import get_workload
 
 #: Never reached by any invocation: instrumentation-only execution.
@@ -77,13 +76,13 @@ class Fig1Result:
 
 
 def _instrumented_throughput(
-    spec_name: str, cost: int, config: SimulatorConfig, baselines: BaselineCache
+    spec_name: str, cost: int, config: SimulatorConfig, baseline: float
 ) -> float:
     spec = get_workload(spec_name)
     costs = InstrumentationCosts(dynamic=cost)
     policy = DynamicInstrumentation(threshold=UNREACHABLE_THRESHOLD, costs=costs)
     result = simulate(spec, policy, FREE, config)
-    return result.throughput / baselines.throughput(spec)
+    return result.throughput / baseline
 
 
 def run_fig1(
@@ -99,18 +98,23 @@ def run_fig1(
     figure's point is the server/compute contrast.
     """
     config = config or default_config()
-    baselines = BaselineCache(config)
     expanded: List[str] = []
     for name in workloads:
         expanded.extend(group_members(name, FULL_COMPUTE_GROUP))
+    baselines = {
+        name: simulate_baseline(get_workload(name), config).throughput
+        for name in expanded
+    }
     overhead = {
-        name: _instrumented_throughput(name, cost, config, baselines)
+        name: _instrumented_throughput(name, cost, config, baselines[name])
         for name in expanded
     }
     sweep: Dict[int, Dict[str, float]] = {}
     for swept_cost in sweep_costs:
         sweep[swept_cost] = {
-            name: _instrumented_throughput(name, swept_cost, config, baselines)
+            name: _instrumented_throughput(
+                name, swept_cost, config, baselines[name]
+            )
             for name in expanded
         }
     return Fig1Result(overhead_by_workload=overhead, cost_sweep=sweep, cost=cost)

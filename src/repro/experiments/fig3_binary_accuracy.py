@@ -18,12 +18,11 @@ from typing import Dict, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import render_series
-from repro.core.astate import astate_hash
 from repro.core.predictor import RunLengthPredictor
 from repro.experiments.common import FULL_COMPUTE_GROUP, REPORT_GROUPS, group_members
+from repro.experiments.predictor_accuracy import score_predictor
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile
-from repro.workloads.base import OSInvocation
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import invocation_stream
 from repro.workloads.presets import get_workload
 
 #: Thresholds of the paper's Figure 3 x-axis.
@@ -63,30 +62,14 @@ def binary_accuracy_for(
     invocations: int = 20000,
     profile: ScaleProfile = DEFAULT_SCALE,
     seed: int = 4096,
-    include_window_traps: bool = False,
 ) -> Dict[int, float]:
     """Score the binary off-load decision at every threshold in one pass."""
-    spec = get_workload(workload)
-    generator = TraceGenerator(spec, profile, seed=seed)
-    predictor = RunLengthPredictor()
-    correct = {n: 0 for n in thresholds}
-    seen = 0
-    for event in generator.events(2 ** 62):
-        if not isinstance(event, OSInvocation):
-            continue
-        if event.is_window_trap and not include_window_traps:
-            continue
-        astate = astate_hash(event.astate)
-        predicted = predictor.predict_hash(astate)
-        actual = event.length
-        for threshold in thresholds:
-            if (predicted > threshold) == (actual > threshold):
-                correct[threshold] += 1
-        predictor.observe_hash(astate, predicted, actual)
-        seen += 1
-        if seen >= invocations:
-            break
-    return {n: correct[n] / seen for n in thresholds}
+    stream = invocation_stream(
+        get_workload(workload), profile, seed, invocations,
+        include_window_traps=False,
+    )
+    stats = score_predictor(RunLengthPredictor(), stream, thresholds)
+    return {n: stats.binary_accuracy(n) for n in thresholds}
 
 
 def run_fig3(

@@ -19,27 +19,31 @@ would inflate the exact rate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.analysis.tables import render_table
 from repro.core.astate import astate_hash
 from repro.core.predictor import RunLengthPredictor, is_close
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile
 from repro.workloads.base import OSInvocation
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import invocation_stream
 from repro.workloads.presets import SERVER_WORKLOADS, COMPUTE_WORKLOADS, get_workload
 
 
 @dataclass
 class AccuracyStats:
-    """Prediction accuracy decomposition for one workload."""
+    """Prediction accuracy decomposition over one invocation stream.
+
+    ``binary_correct[n]`` counts the invocations whose binary off-load
+    decision at threshold ``n`` (predicted > n) matched the actual one.
+    """
 
     invocations: int
     exact: int
     close: int
     underestimates: int
     large_errors: int
-    global_fallbacks: int
+    binary_correct: Dict[int, int]
 
     @property
     def exact_rate(self) -> float:
@@ -63,6 +67,12 @@ class AccuracyStats:
         if self.large_errors == 0:
             return 0.0
         return self.underestimates / self.large_errors
+
+    def binary_accuracy(self, threshold: int) -> float:
+        """Share of binary decisions at ``threshold`` that were right."""
+        if not self.invocations:
+            return 0.0
+        return self.binary_correct[threshold] / self.invocations
 
 
 @dataclass
@@ -119,24 +129,20 @@ class PredictorAccuracyResult:
         return table + "\n" + storage
 
 
-def measure_accuracy(
-    workload: str,
-    invocations: int = 20000,
-    predictor: Optional[RunLengthPredictor] = None,
-    profile: ScaleProfile = DEFAULT_SCALE,
-    seed: int = 404,
-    include_window_traps: bool = False,
+def score_predictor(
+    predictor: RunLengthPredictor,
+    stream: Iterable[OSInvocation],
+    thresholds: Sequence[int] = (),
 ) -> AccuracyStats:
-    """Stream ``invocations`` through a predictor and score it."""
-    spec = get_workload(workload)
-    generator = TraceGenerator(spec, profile, seed=seed)
-    predictor = predictor if predictor is not None else RunLengthPredictor()
+    """Predict each invocation of ``stream`` in order, score the
+    prediction, then train ``predictor`` on the actual length.
+
+    One pass scores every threshold in ``thresholds`` at once: the
+    prediction does not depend on the threshold.
+    """
     seen = exact = close = under = large = 0
-    for event in generator.events(2 ** 62):
-        if not isinstance(event, OSInvocation):
-            continue
-        if event.is_window_trap and not include_window_traps:
-            continue
+    binary = {n: 0 for n in thresholds}
+    for event in stream:
         astate = astate_hash(event.astate)
         predicted = predictor.predict_hash(astate)
         actual = event.length
@@ -148,18 +154,33 @@ def measure_accuracy(
             large += 1
             if predicted < actual:
                 under += 1
+        for threshold in binary:
+            if (predicted > threshold) == (actual > threshold):
+                binary[threshold] += 1
         predictor.observe_hash(astate, predicted, actual)
         seen += 1
-        if seen >= invocations:
-            break
     return AccuracyStats(
         invocations=seen,
         exact=exact,
         close=close,
         underestimates=under,
         large_errors=large,
-        global_fallbacks=predictor.stats.global_fallbacks,
+        binary_correct=binary,
     )
+
+
+def measure_accuracy(
+    workload: str,
+    invocations: int = 20000,
+    profile: ScaleProfile = DEFAULT_SCALE,
+    seed: int = 404,
+) -> AccuracyStats:
+    """Stream ``invocations`` through a fresh 200-entry predictor and score it."""
+    stream = invocation_stream(
+        get_workload(workload), profile, seed, invocations,
+        include_window_traps=False,
+    )
+    return score_predictor(RunLengthPredictor(), stream)
 
 
 def run_predictor_accuracy(

@@ -78,21 +78,20 @@ PRIMING_SEED_OFFSET = 7919
 TraceEvent = Union[UserSegment, OSInvocation]
 
 
-def priming_invocations(
+def invocation_stream(
     spec: WorkloadSpec,
     profile: ScaleProfile,
     seed: int,
     invocations: int,
     include_window_traps: bool,
 ) -> Iterator[OSInvocation]:
-    """The invocations a learning policy is primed on, in order.
+    """The first ``invocations`` OS invocations of the trace seeded ``seed``.
 
-    Draws from a generator seeded ``seed + PRIMING_SEED_OFFSET``, keeps
-    only :class:`OSInvocation` events, skips window traps unless
+    Keeps only :class:`OSInvocation` events, skips window traps unless
     ``include_window_traps`` is set, and stops after ``invocations`` of
     them without drawing the next event.
     """
-    generator = TraceGenerator(spec, profile, seed=seed + PRIMING_SEED_OFFSET)
+    generator = TraceGenerator(spec, profile, seed=seed)
     stream = (
         event
         for event in generator.events(2 ** 62)
@@ -100,6 +99,21 @@ def priming_invocations(
         and (include_window_traps or not event.is_window_trap)
     )
     return islice(stream, max(0, invocations))
+
+
+def priming_invocations(
+    spec: WorkloadSpec,
+    profile: ScaleProfile,
+    seed: int,
+    invocations: int,
+    include_window_traps: bool,
+) -> Iterator[OSInvocation]:
+    """The invocations a learning policy is primed on, in order: the
+    :func:`invocation_stream` seeded ``seed + PRIMING_SEED_OFFSET``."""
+    return invocation_stream(
+        spec, profile, seed + PRIMING_SEED_OFFSET, invocations,
+        include_window_traps,
+    )
 
 
 def choice_cdf(weights: Sequence[float]) -> List[float]:

@@ -11,6 +11,7 @@ from repro.workloads.generator import (
     REGION_STRIDE,
     SHARED_BASE,
     TraceGenerator,
+    invocation_stream,
 )
 from repro.workloads.presets import get_workload
 
@@ -47,6 +48,30 @@ class TestDeterminism:
         _, a = events_list(thread_id=0)
         _, b = events_list(thread_id=1)
         assert a != b
+
+
+class TestInvocationStream:
+    @staticmethod
+    def _inline(spec, seed, count, traps):
+        expected = []
+        for event in TraceGenerator(spec, TEST_SCALE, seed=seed).events(2 ** 62):
+            if len(expected) == count:
+                break
+            if isinstance(event, OSInvocation) and (
+                traps or not event.is_window_trap
+            ):
+                expected.append(event)
+        return expected
+
+    @pytest.mark.parametrize("traps", [True, False])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_matches_inline_filter_of_events(self, traps, count):
+        spec = get_workload("apache")
+        stream = list(invocation_stream(spec, TEST_SCALE, 9, count, traps))
+        assert stream == self._inline(spec, 9, count, traps)
+        assert len(stream) == count
+        if count == 300:
+            assert any(event.is_window_trap for event in stream) == traps
 
 
 class TestBudget:

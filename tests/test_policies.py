@@ -93,20 +93,20 @@ class TestStaticInstrumentation:
         from repro.core import instrumentation
         from repro.sim.simulator import make_policy
 
-        generators = []
-        real = instrumentation.TraceGenerator
+        streams = []
+        real = instrumentation.invocation_stream
 
         def counted(*args, **kwargs):
-            generators.append(args)
+            streams.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(instrumentation, "TraceGenerator", counted)
+        monkeypatch.setattr(instrumentation, "invocation_stream", counted)
         # A spec no other test profiles, so the memo starts cold.
         spec = dataclasses.replace(get_workload("apache"), name="si-memo")
         config = SimulatorConfig(profile=TEST_SCALE)
         first = make_policy("SI", spec=spec, config=config)
         second = make_policy("SI", spec=spec, config=config)
-        assert len(generators) == 1
+        assert len(streams) == 1
         assert first._instrumented == second._instrumented
         assert first.instrumented_count > 0
 
