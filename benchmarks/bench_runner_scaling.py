@@ -10,9 +10,11 @@ Methodology notes:
 
 - the grid is big enough (16 cells) that per-cell simulation time
   dominates the pool's fixed costs at the test profile;
-- baselines are pre-computed into a shared on-disk store so neither
-  timing includes them (both paths would otherwise pay once per
-  process, muddying the comparison);
+- neither timing includes the baseline run: the warm-up ``run(1)``
+  leaves derby's baseline in the parent's per-process memo
+  (``repro.runner.worker._BASELINE_MEMO``), and the pool workers, forked
+  after it, inherit that memo, so no timed batch simulates a baseline
+  (with a start method that does not fork, each worker would pay once);
 - the serial and parallel batches are also compared cell-by-cell — the
   speedup must not come at the cost of the bit-identical guarantee;
 - on a single-core machine (or a CPU set restricted to one core) the
@@ -48,22 +50,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def test_two_workers_speed_up_a_sweep(config, tmp_path):
+def test_two_workers_speed_up_a_sweep(config):
     if _usable_cpus() < 2:
         pytest.skip("parallel speedup needs at least two usable CPUs")
 
-    baseline_dir = str(tmp_path / "baselines")
-
     def run(jobs: int):
-        runner = BatchRunner(config=config, jobs=jobs,
-                             baseline_dir=baseline_dir)
+        runner = BatchRunner(config=config, jobs=jobs)
         start = time.perf_counter()
         batch = runner.run(GRID)
         elapsed = time.perf_counter() - start
         batch.raise_on_failures()
         return batch, elapsed
 
-    run(1)  # warm the shared baseline store and the allocator
+    run(1)  # warm the baseline memo and the allocator
     serial_batch, serial_s = run(1)
     parallel_batch, parallel_s = run(2)
     speedup = serial_s / parallel_s

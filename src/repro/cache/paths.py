@@ -10,9 +10,9 @@ One directory tree serves every caching layer the repo has grown:
     Level-2 entries: memoized ``simulate()`` outcomes, written by
     :class:`~repro.cache.resultstore.ResultStore`.
 ``<root>/baselines/``
-    The :class:`~repro.runner.baselines.BaselineStore` files, so fig4
-    and fig5 grids share one baseline run instead of each recomputing
-    it under their own checkpoint directory.
+    The :class:`~repro.runner.baselines.BaselineStore` files, so every
+    grid on the root, fig4 and fig5 alike, shares one baseline run per
+    workload and configuration.
 
 Root precedence (documented in ``docs/caching.md``): an explicit
 ``--cache DIR`` / ``cache_dir=`` argument wins, then the

@@ -2,12 +2,12 @@
 
 A grid cell's metrics are a pure function of its job identity (the
 ``job_id`` encodes workload/policy/threshold/migration/N) and the
-config fingerprint from :func:`~repro.runner.jobspec.config_fingerprint`
-— the same equivalence classes the checkpoint layer already trusts for
-resume.  :class:`ResultStore` keys one small JSON file per outcome on
-exactly that pair, so re-running a grid (or an overlapping one) under
-an unchanged fingerprint returns stored metrics without touching the
-simulator at all.
+config fingerprint from :func:`~repro.runner.jobspec.config_fingerprint`.
+:class:`ResultStore` keys one small JSON file per outcome on exactly
+that pair, so re-running a grid (or an overlapping one) under an
+unchanged fingerprint returns stored metrics without touching the
+simulator at all.  That makes the store the runner's one record of
+finished cells: a killed grid finishes by running again on its root.
 
 Entries are self-describing: the manifest repeats the schema version,
 job id and fingerprint, and a read validates all three before trusting

@@ -9,16 +9,17 @@ without writing Python:
   (``--json``);
 - ``repro sweep`` — a Figure-4-style threshold/latency sweep for one
   workload, executed through the :mod:`repro.runner` batch subsystem
-  (``--jobs N`` for parallel workers, ``--checkpoint DIR`` /
-  ``--resume DIR`` for interruptible grids, ``--json`` for
-  machine-readable output including the batch summary);
+  (``--jobs N`` for parallel workers, ``--json`` for machine-readable
+  output including the batch summary; a killed sweep finishes by
+  running again on the same cache root, which skips finished cells);
 - ``repro latency`` — open-loop service mode: sweep request-latency
   percentiles (p50/p99/p999) across offered load and OS-core pool
   sizes, exposing the single-OS-core saturation cliff;
 - ``repro report`` — render the decision/threshold/queue report from a
   trace produced by ``run --trace``;
 - ``repro experiment`` — regenerate a named paper artifact (table1,
-  fig4, ...) and print it in the paper's shape;
+  fig4, ...) at the ``--profile``/``--seed`` configuration and print it
+  in the paper's shape;
 - ``repro trace`` — record a workload trace to a JSON-lines file and/or
   print its summary statistics;
 - ``repro profile`` — render a span profile (from ``--profile-out``
@@ -77,7 +78,7 @@ PROFILES: Dict[str, ScaleProfile] = {
 }
 
 
-def _experiment_registry() -> Dict[str, Callable[[], object]]:
+def _experiment_registry() -> Dict[str, Callable[..., object]]:
     """Late import: the experiments package pulls in everything."""
     from repro import experiments
 
@@ -315,8 +316,14 @@ _EXPERIMENT_NAMES = (
 )
 
 #: Experiments whose grids execute through the batch runner and accept
-#: --jobs / --checkpoint / --resume.
+#: the runner flags (--jobs, --cache, --no-cache, --serve, ...).
 _PARALLEL_EXPERIMENTS = {"fig4", "fig5", "robustness"}
+
+#: Experiments that take a scale profile instead of a configuration:
+#: their predictor streams keep fixed seeds.  table1 and table2 take
+#: neither; every other experiment takes the whole configuration.
+_PROFILE_EXPERIMENTS = {"fig3", "predictor-accuracy", "predictor-ablation"}
+_STATIC_EXPERIMENTS = {"table1", "table2"}
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -324,18 +331,12 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for the grid (default 1: "
                              "serial; results are identical either way)")
-    parser.add_argument("--checkpoint", metavar="DIR",
-                        help="write a JSONL checkpoint manifest (and the "
-                             "shared baseline cache) under this directory")
-    parser.add_argument("--resume", metavar="DIR",
-                        help="resume from this checkpoint directory, "
-                             "skipping already-completed cells (implies "
-                             "--checkpoint DIR)")
     cache = parser.add_mutually_exclusive_group()
     cache.add_argument("--cache", metavar="DIR",
                        help="trace/result cache root (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro; replay "
-                            "is bit-identical to regeneration)")
+                            "is bit-identical to regeneration, and a "
+                            "re-run skips every cell already measured)")
     cache.add_argument("--no-cache", action="store_true",
                        help="disable the trace/result cache for this grid")
     parser.add_argument("--serve", type=int, metavar="PORT",
@@ -356,11 +357,8 @@ def _runner_kwargs(args) -> Dict[str, object]:
     """Translate runner CLI flags into run_job_grid/run_* keywords."""
     from repro.cache import resolve_cache_root
 
-    checkpoint = args.resume or args.checkpoint
     return {
         "jobs": args.jobs,
-        "checkpoint_dir": checkpoint,
-        "resume": args.resume is not None,
         "cache_dir": None if args.no_cache else resolve_cache_root(args.cache),
     }
 
@@ -654,9 +652,6 @@ def _cmd_sweep(args, config: SimulatorConfig) -> int:
         rows,
         title=f"{args.workload}: normalized IPC (HI policy)",
     ))
-    if batch.skipped:
-        print(f"resumed {batch.skipped} cells from checkpoint",
-              file=sys.stderr)
     for failure in batch.failures:
         print(f"failed: {failure.job_id}: {failure.error}", file=sys.stderr)
     return 1 if batch.failures else 0
@@ -712,11 +707,11 @@ def _cmd_experiment(args, config: SimulatorConfig) -> int:
     kwargs = _runner_kwargs(args)
     live = _LiveSweep(args)
     if args.name not in _PARALLEL_EXPERIMENTS:
-        if (kwargs["jobs"] != 1 or kwargs["checkpoint_dir"]
-                or args.cache or args.no_cache or live.enabled):
+        if (kwargs["jobs"] != 1 or args.cache or args.no_cache
+                or live.enabled):
             raise ReproError(
-                "--jobs/--checkpoint/--resume/--cache/--no-cache/--serve/"
-                "--telemetry/--profile-out are only supported for "
+                "--jobs/--cache/--no-cache/--serve/--telemetry/"
+                "--profile-out are only supported for "
                 + "/".join(sorted(_PARALLEL_EXPERIMENTS))
             )
         kwargs = {}
@@ -724,6 +719,10 @@ def _cmd_experiment(args, config: SimulatorConfig) -> int:
         kwargs.update(live.runner_kwargs())
         if live.registry is not None:
             kwargs["metrics"] = live.registry
+    if args.name in _PROFILE_EXPERIMENTS:
+        kwargs["profile"] = config.profile
+    elif args.name not in _STATIC_EXPERIMENTS:
+        kwargs["config"] = config
     with live:
         result = registry[args.name](**kwargs)
     print(result.render())
@@ -799,7 +798,6 @@ def _cmd_profile(args, config: SimulatorConfig) -> int:
         record = execute_job({
             "job": spec.to_payload(),
             "config": config_to_payload(config),
-            "baseline_dir": None,
             "timeout_s": None,
             "cache_dir": None,
             "span_profile": True,

@@ -7,15 +7,14 @@ module centralises the pieces they share: the workload grouping the
 paper reports (three servers plus one averaged compute group), the
 default experiment configuration, and :func:`run_job_grid` — the
 bridge from experiment grids to the :mod:`repro.runner` batch-execution
-subsystem (``jobs`` worker processes, checkpoint/resume, metrics).
+subsystem (``jobs`` worker processes, the cache root, metrics).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
-from repro.obs.metrics import MetricsRegistry
 from repro.runner import BatchResult, BatchRunner, JobSpec
 from repro.sim.config import DEFAULT_SCALE, ScaleProfile, SimulatorConfig
 from repro.workloads.base import WorkloadSpec
@@ -92,45 +91,20 @@ def sweep_specs(
 def run_job_grid(
     specs: Iterable[JobSpec],
     config: Optional[SimulatorConfig] = None,
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    baseline_dir: Optional[str] = None,
-    progress=None,
-    cache_dir: Optional[str] = None,
-    monitor=None,
-    telemetry_dir: Optional[str] = None,
-    span_profile: bool = False,
+    **runner: Any,
 ) -> BatchResult:
     """Execute a grid of cells through :class:`~repro.runner.BatchRunner`.
 
     This is the one entry point experiments and the CLI share: cells
     without an explicit seed inherit ``config.seed`` (so a whole grid
     divides by one shared baseline run, matching the paper's
-    methodology), duplicate cells are deduplicated rather than
-    re-simulated, and the batch is sharded over ``jobs`` worker
-    processes with checkpoint/resume when ``checkpoint_dir`` is given.
+    methodology), and duplicate cells are deduplicated rather than
+    re-simulated.  ``runner`` holds :class:`~repro.runner.BatchRunner`'s
+    keywords (``jobs``, ``cache_dir``, ``metrics``, ...), passed on
+    unchanged; the grid experiments forward theirs the same way.
     """
     config = config or default_config()
     unique: Dict[str, JobSpec] = {}
     for spec in specs:
         unique.setdefault(spec.resolved(config.seed).job_id, spec)
-    runner = BatchRunner(
-        config=config,
-        jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        baseline_dir=baseline_dir,
-        timeout_s=timeout_s,
-        retries=retries,
-        metrics=metrics,
-        progress=progress,
-        cache_dir=cache_dir,
-        monitor=monitor,
-        telemetry_dir=telemetry_dir,
-        span_profile=span_profile,
-    )
-    return runner.run(list(unique.values()))
+    return BatchRunner(config=config, **runner).run(list(unique.values()))

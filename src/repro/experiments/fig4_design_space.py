@@ -18,7 +18,7 @@ threshold N ∈ {0 ... 10,000} and one-way migration latency ∈
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import render_series
@@ -32,7 +32,6 @@ from repro.experiments.common import (
     run_job_grid,
     sweep_specs,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.runner import JobSpec
 from repro.sim.config import SimulatorConfig
 
@@ -88,14 +87,7 @@ def run_fig4(
     thresholds: Sequence[int] = THRESHOLD_GRID,
     latencies: Sequence[int] = LATENCY_GRID,
     compute_members: Sequence[str] = COMPUTE_SUBSET,
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    cache_dir: Optional[str] = None,
-    monitor=None,
-    telemetry_dir: Optional[str] = None,
-    span_profile: bool = False,
+    **runner: Any,
 ) -> Fig4Result:
     """Run the full design-space sweep.
 
@@ -103,9 +95,9 @@ def run_fig4(
     3-code subset spanning the group's behaviour range) — the render
     titles state exactly which codes were averaged.
 
-    The sweep executes as one batch through :mod:`repro.runner`:
-    ``jobs`` worker processes, optional JSONL checkpointing under
-    ``checkpoint_dir`` with ``resume``.  Cell results are independent of
+    The sweep executes as one batch through :func:`run_job_grid`, which
+    passes ``runner`` (``jobs``, ``cache_dir``, ...) on to
+    :class:`~repro.runner.BatchRunner`.  Cell results are independent of
     ``jobs``, so a parallel regeneration is bit-identical to a serial
     one.
     """
@@ -117,14 +109,7 @@ def run_fig4(
     batch = run_job_grid(
         sweep_specs(all_members, thresholds, latencies, policy="HI"),
         config,
-        jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        metrics=metrics,
-        cache_dir=cache_dir,
-        monitor=monitor,
-        telemetry_dir=telemetry_dir,
-        span_profile=span_profile,
+        **runner,
     )
     batch.raise_on_failures()
 

@@ -20,7 +20,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import render_bars
@@ -31,7 +31,6 @@ from repro.experiments.common import (
     group_members,
     run_job_grid,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.offload.migration import AGGRESSIVE, CONSERVATIVE, MigrationModel
 from repro.runner import BatchResult, JobSpec
 from repro.sim.config import SimulatorConfig
@@ -124,14 +123,7 @@ def run_fig5(
     migrations: Sequence[MigrationModel] = (CONSERVATIVE, AGGRESSIVE),
     thresholds: Sequence[int] = FIG5_THRESHOLDS,
     compute_members: Sequence[str] = COMPUTE_SUBSET,
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    cache_dir: Optional[str] = None,
-    monitor=None,
-    telemetry_dir: Optional[str] = None,
-    span_profile: bool = False,
+    **runner: Any,
 ) -> Fig5Result:
     config = config or default_config()
     members = sorted({
@@ -147,12 +139,7 @@ def run_fig5(
         for policy_name in POLICIES
         for threshold in _policy_grid(policy_name, thresholds)
     ]
-    batch = run_job_grid(
-        specs, config, jobs=jobs, checkpoint_dir=checkpoint_dir,
-        resume=resume, metrics=metrics, cache_dir=cache_dir,
-        monitor=monitor, telemetry_dir=telemetry_dir,
-        span_profile=span_profile,
-    )
+    batch = run_job_grid(specs, config, **runner)
     batch.raise_on_failures()
 
     bars: Dict[str, Dict[str, Dict[str, float]]] = {}

@@ -18,8 +18,7 @@ two or four OS cores hold the tail flat for another factor of N.
 Each (load, pool-size) combination is one single-cell batch through
 :func:`~repro.experiments.common.run_job_grid` (a batch shares one
 simulator configuration, and the service knobs *are* configuration),
-so every cell is independently cacheable, checkpointable, and
-bit-identical between ``--jobs 1`` and ``--jobs 2`` and from a warm
+so every cell is independently cacheable and bit-identical between ``--jobs 1`` and ``--jobs 2`` and from a warm
 cache.
 """
 
@@ -27,12 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import default_config, run_job_grid
-from repro.obs.metrics import MetricsRegistry
 from repro.runner import JobSpec
 from repro.service.config import ServiceConfig
 from repro.sim.config import SimulatorConfig
@@ -152,16 +150,7 @@ def run_latency(
     threshold: int = 100,
     latency: int = 100,
     user_cores: int = 2,
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    cache_dir: Optional[str] = None,
-    monitor=None,
-    telemetry_dir: Optional[str] = None,
-    span_profile: bool = False,
+    **runner: Any,
 ) -> LatencySweepResult:
     """Sweep request-latency percentiles over load and pool size.
 
@@ -209,20 +198,9 @@ def run_latency(
             )
             # One single-cell batch per combination: a batch runs one
             # configuration, and the service knobs are configuration.
-            # Per-combo checkpoint subdirectories keep the manifests
-            # disjoint; the baseline directory is shared because the
-            # baseline is service-stripped.
-            combo_checkpoint = (
-                f"{checkpoint_dir}/{tag}" if checkpoint_dir else None
-            )
-            batch = run_job_grid(
-                [spec], combo_config, jobs=jobs,
-                checkpoint_dir=combo_checkpoint, resume=resume,
-                metrics=metrics, timeout_s=timeout_s, retries=retries,
-                baseline_dir=checkpoint_dir, cache_dir=cache_dir,
-                monitor=monitor, telemetry_dir=telemetry_dir,
-                span_profile=span_profile,
-            )
+            # The baseline is service-stripped, so every combination
+            # shares it.
+            batch = run_job_grid([spec], combo_config, **runner)
             batch.raise_on_failures()
             cell_metrics = batch.get(spec.resolved(combo_config.seed)).metrics
             result.cells[(load, cores)] = LatencyCell(

@@ -25,12 +25,11 @@ the paper; the bench asserts the orderings hold for (almost) every seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import render_table
 from repro.experiments.common import default_config, run_job_grid
-from repro.obs.metrics import MetricsRegistry
 from repro.offload.migration import AGGRESSIVE, FREE
 from repro.runner import JobSpec, derive_seed
 from repro.sim.config import SimulatorConfig
@@ -102,14 +101,7 @@ def run_robustness(
     seeds: Optional[Sequence[int]] = None,
     trials: int = DEFAULT_TRIALS,
     root_seed: Optional[int] = None,
-    jobs: int = 1,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    cache_dir: Optional[str] = None,
-    monitor=None,
-    telemetry_dir: Optional[str] = None,
-    span_profile: bool = False,
+    **runner: Any,
 ) -> RobustnessResult:
     """Measure the headline orderings across per-trial seeds.
 
@@ -135,11 +127,8 @@ def run_robustness(
         ]
 
     batch = run_job_grid(
-        [spec for seed in seeds for spec in cells(seed)],
-        base_config, jobs=jobs, checkpoint_dir=checkpoint_dir,
-        resume=resume, metrics=metrics, cache_dir=cache_dir,
-        monitor=monitor, telemetry_dir=telemetry_dir,
-        span_profile=span_profile,
+        [spec for seed in seeds for spec in cells(seed)], base_config,
+        **runner,
     )
     batch.raise_on_failures()
 

@@ -1,6 +1,6 @@
 """F-rules: SimulatorConfig fields vs the runner's fingerprint policy.
 
-Checkpoint resume and baseline caching key on a *fingerprint* of the
+The result store and the baseline store key on a *fingerprint* of the
 configuration (``runner/jobspec.py``).  Every ``SimulatorConfig`` field
 must therefore be declared in that module, in ``_CONFIG_SCALARS``
 (copied verbatim into the payload) or ``_CONFIG_STRUCTURED``
@@ -8,8 +8,9 @@ must therefore be declared in that module, in ``_CONFIG_SCALARS``
 
 ``F401`` flags a config field declared in neither — the exact failure
 mode of adding a field and forgetting the runner, which would silently
-let a resumed manifest satisfy a *different* experiment.  ``F402``
-flags stale declarations (a listed name that is no longer a field).
+let a stored result or baseline satisfy a *different* experiment.
+``F402`` flags stale declarations (a listed name that is no longer a
+field).
 
 Ground truth is read from the ASTs of ``sim/config.py`` (the
 ``SimulatorConfig`` dataclass's annotated fields) and

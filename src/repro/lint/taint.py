@@ -27,7 +27,7 @@ Sinks (flow kinds, one N-rule each — see :mod:`repro.lint.flowrules`):
 - ``metric``       — an argument of ``.inc()``/``.observe()``/``.set()``
 - ``cache-key``    — an argument of a fingerprint/cache-key function
   (anything in ``cache/keys.py``, ``derive_seed``,
-  ``config_fingerprint``, ``batch_fingerprint``, ``config_to_payload``)
+  ``config_fingerprint``, ``config_to_payload``)
 - ``job-result``   — an argument of the ``JobResult`` constructor
 
 The interpreter is field-sensitive through constant dict keys and
@@ -82,8 +82,7 @@ _ORDER_SANITIZERS = frozenset({"sorted", "len", "min", "max", "frozenset",
 
 #: functions whose arguments become cache-key / fingerprint material.
 _KEY_FUNCTIONS = frozenset({
-    "derive_seed", "config_fingerprint", "batch_fingerprint",
-    "config_to_payload",
+    "derive_seed", "config_fingerprint", "config_to_payload",
 })
 
 _KEYS_MODULE_SUFFIX = ("cache", "keys.py")

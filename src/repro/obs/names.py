@@ -63,7 +63,6 @@ REPRO_SERVICE_OS_CORES = "repro_service_os_cores"
 RUNNER_JOBS_TOTAL = "runner_jobs_total"
 RUNNER_JOBS_COMPLETED = "runner_jobs_completed"
 RUNNER_JOBS_FAILED = "runner_jobs_failed"
-RUNNER_JOBS_SKIPPED = "runner_jobs_skipped"
 RUNNER_RETRIES_TOTAL = "runner_retries_total"
 RUNNER_WORKERS = "runner_workers"
 RUNNER_JOB_SECONDS = "runner_job_seconds"
@@ -144,7 +143,6 @@ __all__ = [
     "RUNNER_JOBS_TOTAL",
     "RUNNER_JOBS_COMPLETED",
     "RUNNER_JOBS_FAILED",
-    "RUNNER_JOBS_SKIPPED",
     "RUNNER_RETRIES_TOTAL",
     "RUNNER_WORKERS",
     "RUNNER_JOB_SECONDS",

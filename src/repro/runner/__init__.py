@@ -13,9 +13,8 @@ subsystem executes such grids fast and safely:
   :class:`~concurrent.futures.ProcessPoolExecutor` pool, with per-job
   timeout/retry, captured-traceback failure records, and ``runner_*``
   metrics in a :class:`~repro.obs.metrics.MetricsRegistry`;
-- :class:`CheckpointManifest` / :class:`BaselineStore` — the JSONL
-  checkpoint manifest behind ``--resume`` and the process-safe on-disk
-  baseline memo;
+- :class:`BaselineStore` — the process-safe on-disk baseline memo
+  under a cache root's ``baselines/`` section;
 - :class:`CellUpdate` — the started/retried/finished transition object
   handed to the scheduler's progress callback;
 - :class:`TelemetryWriter` / :class:`TelemetryReader` /
@@ -23,17 +22,15 @@ subsystem executes such grids fast and safely:
   lifecycle records on disk, folded into the stall-aware progress
   snapshot behind ``repro serve``.
 
-See ``docs/parallelism.md`` for the architecture, checkpoint format,
-and determinism guarantees.
+See ``docs/parallelism.md`` for the architecture, re-running a killed
+grid on its cache root, and determinism guarantees.
 """
 
 from repro.runner.baselines import BaselineStore
-from repro.runner.checkpoint import CheckpointManifest
 from repro.runner.jobspec import (
     BatchResult,
     JobResult,
     JobSpec,
-    batch_fingerprint,
     config_fingerprint,
     config_from_payload,
     config_to_payload,
@@ -64,7 +61,6 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "CellUpdate",
-    "CheckpointManifest",
     "JobResult",
     "JobSpec",
     "JobTimeout",
@@ -74,7 +70,6 @@ __all__ = [
     "SweepMonitor",
     "TelemetryReader",
     "TelemetryWriter",
-    "batch_fingerprint",
     "config_fingerprint",
     "config_from_payload",
     "config_to_payload",

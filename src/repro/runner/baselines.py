@@ -4,8 +4,8 @@ Every normalized number in the evaluation divides by the same
 uni-processor baseline, so a naive parallel batch would re-simulate that
 baseline once per worker process.  :class:`BaselineStore` shares the
 memo across processes through the filesystem: one JSON file per
-(workload, configuration) pair under the checkpoint directory, written
-atomically (temp file + ``os.replace``) so concurrent workers can race
+(workload, configuration) pair under a cache root's ``baselines/``
+section, written atomically (temp file + ``os.replace``) so concurrent workers can race
 on the same key without torn reads.
 
 Because baselines are pure functions of (workload spec, config, seed),

@@ -9,9 +9,9 @@ Two properties the rest of the subsystem leans on:
 
 - **identity** — :meth:`JobSpec.job_id` is a stable, human-readable
   string computed only from the fields that change the simulation's
-  outcome.  It keys the checkpoint manifest, so a resumed batch can
-  recognise completed cells across process boundaries and interpreter
-  restarts;
+  outcome.  With the config fingerprint it keys the cache root's result
+  store, so a grid re-run on the same root recognises finished cells
+  across process boundaries and interpreter restarts;
 - **portability** — a job serialises to a flat JSON payload
   (:meth:`JobSpec.to_payload`) that a worker process reconstructs
   without pickling any library object.  :func:`config_to_payload` /
@@ -44,11 +44,6 @@ from repro.sim.config import (
     ScaleProfile,
     SimulatorConfig,
 )
-
-#: Version tag written into checkpoint manifests; bump on incompatible
-#: record-format changes so stale manifests fail loudly, not subtly.
-MANIFEST_FORMAT_VERSION = 1
-
 
 def derive_seed(root_seed: int, *components: Any) -> int:
     """Derive a child seed from a root seed and a stable identity.
@@ -191,45 +186,28 @@ def config_to_payload(config: SimulatorConfig) -> Dict[str, Any]:
 
 
 def config_from_payload(payload: Dict[str, Any]) -> SimulatorConfig:
-    """Inverse of :func:`config_to_payload`."""
-    memory = dict(payload["memory"])
+    """Inverse of :func:`config_to_payload`.
+
+    Payloads only travel from a parent to its workers within one build,
+    so the payload carries exactly the config's fields: a missing or
+    unknown key raises rather than falling back to a default.
+    """
+    fields = dict(payload)
+    memory = dict(fields.pop("memory"))
     for level in ("l1", "l1i", "l2"):
         memory[level] = CacheConfig(**memory[level])
-    # Keys outside _CONFIG_SCALARS (e.g. the retired ``engine``) are ignored.
-    scalars = {
-        name: payload[name] for name in _CONFIG_SCALARS if name in payload
-    }
-    # Payloads written before the service field existed reconstruct to
-    # the closed-loop default, so old checkpoints keep resuming.
-    service = (
-        ServiceConfig(**payload["service"])
-        if "service" in payload else ServiceConfig()
-    )
     return SimulatorConfig(
-        profile=ScaleProfile(**payload["profile"]),
-        core=CoreConfig(**payload["core"]),
+        profile=ScaleProfile(**fields.pop("profile")),
+        core=CoreConfig(**fields.pop("core")),
         memory=MemorySystemConfig(**memory),
-        service=service,
-        **scalars,
+        service=ServiceConfig(**fields.pop("service")),
+        **fields,
     )
 
 
 def config_fingerprint(config: SimulatorConfig) -> str:
     """Short stable hash of a configuration (keys baseline cache files)."""
     blob = json.dumps(config_to_payload(config), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def batch_fingerprint(job_ids: List[str], config: SimulatorConfig) -> str:
-    """Identity of a whole batch: its cell set plus its configuration.
-
-    Stored in the checkpoint header and re-checked on resume, so a
-    manifest can never silently satisfy a *different* grid.
-    """
-    blob = json.dumps(
-        {"jobs": sorted(job_ids), "config": config_to_payload(config)},
-        sort_keys=True,
-    )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -248,8 +226,7 @@ class JobResult:
     ``metrics`` holds the simulation's JSON-safe measurements (the same
     quantities ``repro run --json`` reports); on failure it is empty and
     ``error``/``traceback`` carry the exception message and the worker's
-    formatted traceback.  ``resumed`` marks results loaded from a
-    checkpoint rather than executed in this batch.  ``cache_counters``
+    formatted traceback.  ``cache_counters``
     holds the worker's per-cell trace/result cache deltas (empty when
     the batch ran without a cache directory).  ``profile`` is the
     cell's serialised span tree (see :mod:`repro.obs.spans`) when the
@@ -263,7 +240,6 @@ class JobResult:
     traceback: Optional[str] = None
     attempts: int = 1
     duration_s: float = 0.0
-    resumed: bool = False
     cache_counters: Dict[str, int] = field(default_factory=dict)
     profile: Optional[Dict[str, Any]] = None
 
@@ -280,25 +256,8 @@ class JobResult:
         """Shorthand for the metric every figure plots."""
         return self.metrics["normalized_throughput"]
 
-    def to_record(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "kind": "result",
-            "job_id": self.job_id,
-            "spec": self.spec.to_payload(),
-            "status": self.status,
-            "metrics": self.metrics,
-            "error": self.error,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-            "duration_s": self.duration_s,
-            "cache_counters": self.cache_counters,
-        }
-        if self.profile is not None:
-            record["profile"] = self.profile
-        return record
-
     @staticmethod
-    def from_record(record: Dict[str, Any], resumed: bool = False) -> "JobResult":
+    def from_record(record: Dict[str, Any]) -> "JobResult":
         return JobResult(
             spec=JobSpec.from_payload(record["spec"]),
             status=record["status"],
@@ -308,7 +267,6 @@ class JobResult:
             attempts=record.get("attempts", 1),
             # diagnostic wall-time, excluded from result identity.
             duration_s=record.get("duration_s", 0.0),  # simlint: ignore[N505]
-            resumed=resumed,
             cache_counters=record.get("cache_counters", {}),
             profile=record.get("profile"),
         )
@@ -319,8 +277,6 @@ class BatchResult:
     """Everything a batch produced, in the caller's submission order."""
 
     results: List[JobResult]
-    executed: int = 0
-    skipped: int = 0
     retries: int = 0
     wall_s: float = 0.0
 
@@ -389,8 +345,6 @@ class BatchResult:
             "jobs": len(self.results),
             "ok": len(self.completed),
             "failed": len(self.failures),
-            "executed": self.executed,
-            "resumed": self.skipped,
             "retries": self.retries,
             "wall_s": round(self.wall_s, 3),
             "failures": [

@@ -18,10 +18,15 @@ converts a crashed *worker process* into failed records for its shard;
 so a broken pool cannot block recovery) before their failure becomes
 final.
 
-With a ``checkpoint_dir``, every final cell outcome is appended to a
-JSONL manifest as it lands, and ``resume=True`` skips cells the manifest
-already records as measured — a killed batch finishes by re-running only
-the missing cells.  Progress and failure counts flow into an optional
+With a ``cache_dir``, each measured cell lands in the root's result
+store as it finishes, and the root's ``baselines/`` section shares
+baseline runs across processes and batches; without one, each
+process's baseline memo alone carries the batch.  The result store is
+the one record of finished cells: a killed batch finishes by running
+again on the same root, where every measured cell is a result hit and
+only the missing cells simulate.
+
+Progress and failure counts flow into an optional
 :class:`~repro.obs.metrics.MetricsRegistry` under ``runner_*`` names,
 and an optional ``progress`` callback observes every cell *transition*
 — started, retried, finished — as a :class:`CellUpdate` (raising from
@@ -46,17 +51,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from repro.cache.paths import baselines_dir
 from repro.errors import ReproError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import flatten_calls, flatten_self_times
-from repro.runner.checkpoint import CheckpointManifest
 from repro.runner.jobspec import (
     BatchResult,
     JobResult,
     JobSpec,
-    batch_fingerprint,
     config_to_payload,
 )
 from repro.runner.telemetry import (
@@ -109,7 +111,7 @@ _DURATION_BUCKETS = (0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 
 class BatchInterrupted(ReproError):
-    """Raised to abort a batch between cells (checkpoint stays valid)."""
+    """Raised to abort a batch between cells (stored results stay valid)."""
 
 
 def shard_jobs(items: Sequence, num_shards: int) -> List[List]:
@@ -135,9 +137,6 @@ class BatchRunner:
         self,
         config: Optional[SimulatorConfig] = None,
         jobs: int = 1,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        baseline_dir: Optional[str] = None,
         timeout_s: Optional[float] = None,
         retries: int = 0,
         metrics: Optional[MetricsRegistry] = None,
@@ -151,22 +150,9 @@ class BatchRunner:
             raise ReproError("need at least one worker")
         if retries < 0:
             raise ReproError("retries must be >= 0")
-        if resume and checkpoint_dir is None:
-            raise ReproError("resume requires a checkpoint directory")
         self.config = config or SimulatorConfig()
         self.jobs = jobs
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
         self.cache_dir = cache_dir
-        # Baseline precedence: an explicit directory wins; otherwise a
-        # cache root shares its baselines/ section across every batch
-        # (so fig4 and fig5 stop recomputing each other's baselines);
-        # otherwise run() falls back to the checkpoint manifest's
-        # baseline directory, and without any of those the per-process
-        # memo alone carries the batch.
-        if baseline_dir is None and cache_dir is not None:
-            baseline_dir = baselines_dir(cache_dir)
-        self.baseline_dir = baseline_dir
         self.timeout_s = timeout_s
         self.retries = retries
         self.metrics = metrics
@@ -182,43 +168,17 @@ class BatchRunner:
         resolved = [spec.resolved(self.config.seed) for spec in specs]
         job_ids = [spec.job_id for spec in resolved]
         self._check_unique(job_ids)
-        fingerprint = batch_fingerprint(job_ids, self.config)
-
-        manifest: Optional[CheckpointManifest] = None
-        completed: Dict[str, JobResult] = {}
-        if self.checkpoint_dir is not None:
-            manifest = CheckpointManifest(self.checkpoint_dir)
-            if self.baseline_dir is None:
-                self.baseline_dir = manifest.baselines_dir
-            if self.resume:
-                completed = manifest.load_completed(fingerprint, job_ids)
-            manifest.open_for_append(
-                {
-                    "batch_fingerprint": fingerprint,
-                    "root_seed": self.config.seed,
-                    "profile": self.config.profile.name,
-                    "jobs": len(job_ids),
-                },
-                fresh=not self.resume,
-            )
 
         instruments = self._instruments()
         if instruments:
             instruments["total"].inc(len(resolved))
-            instruments["skipped"].inc(len(completed))
             instruments["workers"].set(self.jobs)
 
-        pending = [spec for spec in resolved if spec.job_id not in completed]
         payload_by_id = {
-            spec.job_id: self._payload(spec) for spec in pending
+            spec.job_id: self._payload(spec) for spec in resolved
         }
-        results: Dict[str, JobResult] = dict(completed)
+        results: Dict[str, JobResult] = {}
         retry_count = 0
-        if completed:
-            logger.info(
-                "resuming batch: %d of %d cells already checkpointed",
-                len(completed), len(resolved),
-            )
 
         monitor = self.monitor
         reader: Optional[TelemetryReader] = None
@@ -226,7 +186,7 @@ class BatchRunner:
             write_grid_manifest(self.telemetry_dir, len(resolved))
             reader = TelemetryReader(self.telemetry_dir)
         if monitor is not None:
-            monitor.begin(len(resolved), resumed=len(completed))
+            monitor.begin(len(resolved))
 
         attempts: Dict[str, int] = {job_id: 0 for job_id in payload_by_id}
         #: cells whose current attempt already got a ``started`` update
@@ -243,8 +203,7 @@ class BatchRunner:
 
         def notify(update: CellUpdate) -> None:
             if self.progress is not None:
-                done = len(results) - len(completed)
-                self.progress(update, done, len(pending))
+                self.progress(update, len(results), len(resolved))
 
         def on_start(job_id: Optional[str]) -> None:
             # Guard against telemetry from a different batch sharing the
@@ -277,81 +236,73 @@ class BatchRunner:
                 # future's result record is the authoritative finish.
             refresh_gauges()
 
-        try:
-            queue = [payload_by_id[spec.job_id] for spec in pending]
-            first_wave = True
-            while queue:
-                retry_queue: List[Dict[str, Any]] = []
-                # Retry waves run in-process: they are small, and a pool
-                # broken by a crashed worker must not block recovery.
-                parallel = first_wave and self.jobs > 1
-                records = self._execute(
-                    queue, parallel, on_start,
-                    poll_telemetry if reader is not None else None,
-                )
-                for record in records:
-                    job_id = record["job_id"]
-                    # Synthetic started for cells whose telemetry the
-                    # scheduler never saw (no telemetry dir, or a crash
-                    # before the record flushed): the started-before-
-                    # finished ordering holds unconditionally.
-                    on_start(job_id)
-                    attempts[job_id] += 1
-                    record["attempts"] = attempts[job_id]
-                    if record["status"] != "ok" and attempts[job_id] <= self.retries:
-                        retry_count += 1
-                        if instruments:
-                            instruments["retries"].inc()
-                            instruments["cell_retried"].inc()
-                        logger.warning(
-                            "cell %s failed (attempt %d), retrying: %s",
-                            job_id, attempts[job_id], record["error"],
-                        )
-                        retry_queue.append(payload_by_id[job_id])
-                        # The retry is a fresh attempt: it gets its own
-                        # started transition when it begins executing.
-                        started_seen.discard(job_id)
-                        running.discard(job_id)
-                        if monitor is not None:
-                            monitor.on_retried(job_id)
-                        refresh_gauges()
-                        notify(
-                            CellUpdate(STAGE_RETRIED, job_id, attempts[job_id])
-                        )
-                        continue
-                    result = JobResult.from_record(record)
-                    results[job_id] = result
+        queue = list(payload_by_id.values())
+        first_wave = True
+        while queue:
+            retry_queue: List[Dict[str, Any]] = []
+            # Retry waves run in-process: they are small, and a pool
+            # broken by a crashed worker must not block recovery.
+            parallel = first_wave and self.jobs > 1
+            records = self._execute(
+                queue, parallel, on_start,
+                poll_telemetry if reader is not None else None,
+            )
+            for record in records:
+                job_id = record["job_id"]
+                # Synthetic started for cells whose telemetry the
+                # scheduler never saw (no telemetry dir, or a crash
+                # before the record flushed): the started-before-
+                # finished ordering holds unconditionally.
+                on_start(job_id)
+                attempts[job_id] += 1
+                record["attempts"] = attempts[job_id]
+                if record["status"] != "ok" and attempts[job_id] <= self.retries:
+                    retry_count += 1
+                    if instruments:
+                        instruments["retries"].inc()
+                        instruments["cell_retried"].inc()
+                    logger.warning(
+                        "cell %s failed (attempt %d), retrying: %s",
+                        job_id, attempts[job_id], record["error"],
+                    )
+                    retry_queue.append(payload_by_id[job_id])
+                    # The retry is a fresh attempt: it gets its own
+                    # started transition when it begins executing.
+                    started_seen.discard(job_id)
                     running.discard(job_id)
                     if monitor is not None:
-                        monitor.on_finished(
-                            job_id, result.ok, result.duration_s,
-                            profile=result.profile,
-                        )
-                    self._record(result, manifest, instruments)
+                        monitor.on_retried(job_id)
                     refresh_gauges()
                     notify(
-                        CellUpdate(
-                            STAGE_FINISHED, job_id, attempts[job_id], result
-                        )
+                        CellUpdate(STAGE_RETRIED, job_id, attempts[job_id])
                     )
-                queue = retry_queue
-                first_wave = False
-        finally:
-            if manifest is not None:
-                manifest.close()
+                    continue
+                result = JobResult.from_record(record)
+                results[job_id] = result
+                running.discard(job_id)
+                if monitor is not None:
+                    monitor.on_finished(
+                        job_id, result.ok, result.duration_s,
+                        profile=result.profile,
+                    )
+                self._record(result, instruments)
+                refresh_gauges()
+                notify(
+                    CellUpdate(
+                        STAGE_FINISHED, job_id, attempts[job_id], result
+                    )
+                )
+            queue = retry_queue
+            first_wave = False
 
         batch = BatchResult(
             results=[results[job_id] for job_id in job_ids],
-            executed=len(results) - len(completed),
-            skipped=len(completed),
             retries=retry_count,
             wall_s=time.perf_counter() - started,
         )
         logger.info(
-            "batch done: %d cells (%d executed, %d resumed, %d failed) "
-            "in %.2fs with %d worker(s)",
-            len(batch), batch.executed, batch.skipped, len(batch.failures),
-            batch.wall_s, self.jobs,
+            "batch done: %d cells (%d failed) in %.2fs with %d worker(s)",
+            len(batch), len(batch.failures), batch.wall_s, self.jobs,
         )
         return batch
 
@@ -424,21 +375,13 @@ class BatchRunner:
         return {
             "job": spec.to_payload(),
             "config": config_to_payload(self.config),
-            "baseline_dir": self.baseline_dir,
             "timeout_s": self.timeout_s,
             "cache_dir": self.cache_dir,
             "span_profile": self.span_profile,
             "telemetry_dir": self.telemetry_dir,
         }
 
-    def _record(
-        self,
-        result: JobResult,
-        manifest: Optional[CheckpointManifest],
-        instruments: Dict[str, Any],
-    ) -> None:
-        if manifest is not None:
-            manifest.append(result)
+    def _record(self, result: JobResult, instruments: Dict[str, Any]) -> None:
         if instruments:
             key = "completed" if result.ok else "failed"
             instruments[key].inc()
@@ -490,10 +433,6 @@ class BatchRunner:
             "failed": registry.counter(
                 names.RUNNER_JOBS_FAILED, "cells whose failure became final",
                 exist_ok=True,
-            ),
-            "skipped": registry.counter(
-                names.RUNNER_JOBS_SKIPPED,
-                "cells satisfied from a checkpoint", exist_ok=True,
             ),
             "retries": registry.counter(
                 names.RUNNER_RETRIES_TOTAL,

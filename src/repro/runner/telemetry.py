@@ -210,7 +210,6 @@ class SweepMonitor:
         self.stall_factor = stall_factor
         self._started_at = float(clock())
         self._total = 0
-        self._resumed = 0
         self._ok = 0
         self._failed = 0
         self._retries = 0
@@ -222,10 +221,9 @@ class SweepMonitor:
 
     # -- feeding -------------------------------------------------------
 
-    def begin(self, total: int, resumed: int = 0) -> None:
+    def begin(self, total: int) -> None:
         with self._lock:
             self._total = total
-            self._resumed = resumed
             self._started_at = float(self._clock())
 
     def on_started(self, job_id: str) -> None:
@@ -314,10 +312,7 @@ class SweepMonitor:
                 "ok": self._ok,
                 "failed": self._failed,
                 "running": len(self._running),
-                "pending": max(
-                    0, self._total - self._resumed - done - len(self._running)
-                ),
-                "resumed": self._resumed,
+                "pending": max(0, self._total - done - len(self._running)),
                 "retries": self._retries,
                 "heartbeats": self._heartbeats,
                 "stalled": self._stalled_locked(now),

@@ -13,7 +13,8 @@ three rules the scheduler depends on:
   worker, which is what keeps one bad cell from killing a batch;
 - **deterministic output** — given the same payload, a worker returns
   the same measurements whether it runs in-process (``--jobs 1``), in a
-  forked pool worker, or after a resume.  All seeding is in the payload.
+  forked pool worker, or in a later run on the same cache root.  All
+  seeding is in the payload.
 
 Per-job timeouts use ``SIGALRM`` (via ``signal.setitimer``), which fires
 in the worker's main thread — exactly where pool workers execute — and
@@ -22,8 +23,9 @@ degrades to "no timeout" rather than failing.
 
 Baseline runs are memoised per process (module-level, keyed by workload
 and full config fingerprint — safe under ``fork``) and, when the batch
-has a checkpoint directory, shared across processes through
-:class:`~repro.runner.baselines.BaselineStore`.
+has a cache root, shared across processes through a
+:class:`~repro.runner.baselines.BaselineStore` in the root's
+``baselines/`` section.
 
 With a cache root, latency twins — cells whose only difference is the
 migration latency — share one memory simulation: the first records a
@@ -43,6 +45,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cache.paths import baselines_dir
 from repro.cache.resultstore import ResultStore
 from repro.cache.tapestore import TapeStore
 from repro.cache.tracestore import TraceStore
@@ -146,15 +149,15 @@ def _twin_key(job: Dict[str, Any], config: SimulatorConfig) -> str:
 def _baseline_throughput(
     workload: str,
     config: SimulatorConfig,
-    baseline_dir: Optional[str],
+    cache_dir: Optional[str],
     trace_store: Optional[TraceStore] = None,
 ) -> float:
     key = (workload, config_fingerprint(config))
-    store = BaselineStore(baseline_dir) if baseline_dir else None
+    store = BaselineStore(baselines_dir(cache_dir)) if cache_dir else None
     value = _BASELINE_MEMO.get(key)
     if value is not None:
-        # Even on a memo hit, make sure the checkpoint directory gets a
-        # copy — a later resume runs in a cold process.
+        # Even on a memo hit, make sure the cache root gets a copy — a
+        # later run on the root starts in a cold process.
         if store is not None and store.get(workload, config) is None:
             store.put(workload, config, value)
         return value
@@ -199,7 +202,7 @@ class _Alarm:
 
 
 def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
-              baseline_dir: Optional[str],
+              cache_dir: Optional[str],
               stores: Optional[_Stores] = None,
               profiler: SpanProfiler = NULL_PROFILER) -> Dict[str, float]:
     """Simulate one cell and measure it; raises on any model error."""
@@ -216,9 +219,9 @@ def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
     spec = get_workload(job["workload"])
     migration = MigrationModel(f"runner-{job['latency']}", job["latency"])
     # The baseline is deliberately NOT span-profiled internally: it is
-    # memoised per process and per checkpoint directory, so its inner
-    # phase spans would appear a scheduling-dependent number of times
-    # and break the serial == parallel structure guarantee.  The
+    # memoised per process and per cache root, so its inner phase spans
+    # would appear a scheduling-dependent number of times and break the
+    # serial == parallel structure guarantee.  The
     # ``cell.baseline`` span itself fires exactly once per cell.
     # Baselines are always the paper's closed-loop uni-processor run:
     # open-loop knobs (arrival model, pool shape) must not change what a
@@ -229,7 +232,7 @@ def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
         baseline_config = dataclasses.replace(config, service=ServiceConfig())
     with profiler.span(names.SPAN_CELL_BASELINE):
         baseline = _baseline_throughput(
-            job["workload"], baseline_config, baseline_dir,
+            job["workload"], baseline_config, cache_dir,
             trace_store=trace_store,
         )
     with profiler.span(names.SPAN_CELL_POLICY):
@@ -314,7 +317,8 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     profiler: SpanProfiler = (
         SpanProfiler() if payload.get("span_profile") else NULL_PROFILER
     )
-    stores = _cache_stores(payload.get("cache_dir"))
+    cache_dir = payload.get("cache_dir")
+    stores = _cache_stores(cache_dir)
     before = _cache_counter_snapshot(stores)
     try:
         with profiler.span(names.SPAN_CELL):
@@ -323,8 +327,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
                 config = dataclasses.replace(config, seed=job["seed"])
             with _Alarm(payload.get("timeout_s")):
                 record["metrics"] = _run_cell(
-                    job, config, payload.get("baseline_dir"),
-                    stores=stores, profiler=profiler,
+                    job, config, cache_dir, stores=stores, profiler=profiler,
                 )
         record["status"] = STATUS_OK
     except Exception as error:  # a failed cell must not kill the batch

@@ -76,6 +76,75 @@ class TestExperimentCommand:
             main(["experiment", "fig99"])
 
 
+class _Rendered:
+    def render(self):
+        return "stub"
+
+
+#: Experiments that take a scale profile (their predictor streams keep
+#: fixed seeds) and experiments that take nothing; the rest take the
+#: whole configuration.
+PROFILE_EXPERIMENTS = {"fig3", "predictor-accuracy", "predictor-ablation"}
+STATIC_EXPERIMENTS = {"table1", "table2"}
+GRID_EXPERIMENTS = {"fig4", "fig5", "robustness"}
+
+
+class TestExperimentConfiguration:
+    """``repro experiment`` runs at the --profile/--seed configuration."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro import experiments
+        from repro.cli import _experiment_registry
+
+        calls = {}
+        for name, function in _experiment_registry().items():
+            def stub(_name=name, **kwargs):
+                calls[_name] = kwargs
+                return _Rendered()
+
+            # The CLI reads each run_* from repro.experiments per call.
+            monkeypatch.setattr(experiments, function.__name__, stub)
+        return calls
+
+    def _run_all(self, capsys, calls, *flags):
+        from repro.cli import _EXPERIMENT_NAMES
+
+        for name in _EXPERIMENT_NAMES:
+            code, out, _ = run_cli(capsys, *flags, "experiment", name)
+            assert code == 0 and out == "stub\n"
+        assert set(calls) == set(_EXPERIMENT_NAMES)
+
+    def test_profile_and_seed_reach_every_experiment(self, capsys, calls):
+        from repro.sim.config import SimulatorConfig, TEST_SCALE
+
+        self._run_all(capsys, calls, "--profile", "test", "--seed", "7")
+        expected = SimulatorConfig(profile=TEST_SCALE, seed=7)
+        for name, kwargs in calls.items():
+            if name in STATIC_EXPERIMENTS:
+                assert kwargs == {}, name
+            elif name in PROFILE_EXPERIMENTS:
+                assert kwargs == {"profile": TEST_SCALE}, name
+            else:
+                assert kwargs["config"] == expected, name
+                runner = set(kwargs) - {"config"}
+                assert runner == (
+                    {"jobs", "cache_dir"} if name in GRID_EXPERIMENTS
+                    else set()
+                ), name
+
+    def test_default_flags_give_the_default_config(self, capsys, calls):
+        from repro.experiments.common import default_config
+        from repro.sim.config import DEFAULT_SCALE
+
+        self._run_all(capsys, calls)
+        for name, kwargs in calls.items():
+            if name in PROFILE_EXPERIMENTS:
+                assert kwargs == {"profile": DEFAULT_SCALE}, name
+            elif name not in STATIC_EXPERIMENTS:
+                assert kwargs["config"] == default_config(), name
+
+
 class TestTraceCommand:
     def test_summary_only(self, capsys):
         code, out, _ = run_cli(
@@ -294,22 +363,6 @@ class TestParallelSweep:
             serial["normalized_throughput"] == parallel["normalized_throughput"]
         )
         assert parallel["batch"]["ok"] == 2
-
-    def test_checkpoint_then_resume_skips_cells(self, capsys, tmp_path):
-        import json
-
-        checkpoint = str(tmp_path / "ckpt")
-        argv = (
-            "--profile", "test", "sweep", "derby",
-            "--thresholds", "100", "10000", "--latencies", "0", "--json",
-        )
-        code, _, _ = run_cli(capsys, *argv, "--checkpoint", checkpoint)
-        assert code == 0
-        code, out, _ = run_cli(capsys, *argv, "--resume", checkpoint)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["batch"]["resumed"] == 2
-        assert payload["batch"]["executed"] == 0
 
     def test_metrics_snapshot_written(self, capsys, tmp_path):
         metrics = tmp_path / "runner.prom"

@@ -302,7 +302,6 @@ def test_execute_job_memoizes_whole_cells(tmp_path):
     payload = {
         "job": spec.to_payload(),
         "config": config_to_payload(config),
-        "baseline_dir": None,
         "timeout_s": None,
         "cache_dir": _store_root(tmp_path),
     }
@@ -327,7 +326,6 @@ def _cell_payload(root, timeout_s=None):
     return {
         "job": spec.to_payload(),
         "config": config_to_payload(config),
-        "baseline_dir": None,
         "timeout_s": timeout_s,
         "cache_dir": root,
     }

@@ -5,13 +5,14 @@ The load-bearing guarantees:
 - serial (``jobs=1``) and parallel (``jobs>1``) executions of the same
   grid with the same root seed are bit-identical per cell;
 - a failed cell is recorded, never fatal to the batch;
-- an interrupted batch resumes from its checkpoint manifest, skipping
-  completed cells, and the combined results are bit-identical to an
-  uninterrupted serial run.
+- an interrupted batch finishes by running again on its cache root,
+  where every measured cell is a result hit, and the combined results
+  are bit-identical to an uninterrupted serial run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -23,7 +24,6 @@ from repro.runner import (
     BaselineStore,
     BatchInterrupted,
     JobSpec,
-    batch_fingerprint,
     config_fingerprint,
     config_from_payload,
     config_to_payload,
@@ -102,32 +102,22 @@ class TestConfigPayload:
         assert config_from_payload(config_to_payload(CONFIG)) == CONFIG
 
     def test_roundtrip_preserves_custom_fields(self):
-        import dataclasses
-
         config = dataclasses.replace(
             CONFIG, num_user_cores=3, enable_icache=True, seed=7
         )
         assert config_from_payload(config_to_payload(config)) == config
 
-    def test_fingerprint_tracks_grid_and_config(self):
-        ids = [spec.resolved(CONFIG.seed).job_id for spec in GRID]
-        import dataclasses
-
-        other = dataclasses.replace(CONFIG, seed=1)
-        assert batch_fingerprint(ids, CONFIG) == batch_fingerprint(ids, CONFIG)
-        assert batch_fingerprint(ids, CONFIG) != batch_fingerprint(ids, other)
-        assert batch_fingerprint(ids, CONFIG) != batch_fingerprint(ids[:1], CONFIG)
-
-    def test_fingerprints_are_pinned(self):
-        # Checkpoint manifests, baseline files and result-cache entries
-        # are keyed by these values; a change orphans all of them.
-        assert config_fingerprint(SimulatorConfig()) == "5414e2abdae3b7c4"
-        assert config_fingerprint(CONFIG) == "85a225b8a4f5ea2b"
-
-    def test_payload_with_retired_engine_key_still_loads(self):
+    def test_payload_with_unknown_key_is_rejected(self):
         payload = config_to_payload(CONFIG)
         payload["engine"] = "scalar"
-        assert config_from_payload(payload) == CONFIG
+        with pytest.raises(TypeError, match="engine"):
+            config_from_payload(payload)
+
+    def test_fingerprints_are_pinned(self):
+        # Baseline files and result-cache entries are keyed by these
+        # values; a change orphans all of them.
+        assert config_fingerprint(SimulatorConfig()) == "5414e2abdae3b7c4"
+        assert config_fingerprint(CONFIG) == "85a225b8a4f5ea2b"
 
 
 class TestShardJobs:
@@ -160,8 +150,6 @@ class TestSerialBatch:
     def test_batch_result_shape(self):
         batch = run_batch(GRID, CONFIG)
         assert len(batch) == len(GRID)
-        assert batch.executed == len(GRID)
-        assert batch.skipped == 0
         assert not batch.failures
         summary = batch.summary()
         assert summary["ok"] == len(GRID)
@@ -215,86 +203,49 @@ class TestFaultTolerance:
 
 
 class TestCheckpointResume:
-    def _interrupt_after(self, count):
-        def progress(update, done, total):
-            if update.finished and done >= count:
-                raise BatchInterrupted(f"stop after {count}")
+    """A killed batch finishes by running again on its cache root."""
 
-        return progress
+    def _interrupt_then_rerun(self, tmp_path, jobs):
+        root = str(tmp_path / "cache")
+        finished = []
+
+        def progress(update, done, total):
+            if update.finished:
+                finished.append(update.job_id)
+                if done >= 2:
+                    raise BatchInterrupted("stop after 2 cells")
+
+        with pytest.raises(BatchInterrupted):
+            run_batch(GRID, CONFIG, cache_dir=root, progress=progress)
+        assert len(finished) == 2
+        rerun = run_batch(GRID, CONFIG, jobs=jobs, cache_dir=root)
+        hits = {
+            result.job_id: result.cache_counters.get("result_hits", 0)
+            for result in rerun
+        }
+        assert sum(hits.values()) == 2
+        assert {job_id for job_id, hit in hits.items() if hit} == set(finished)
+        reference = run_batch(GRID, CONFIG)  # uncached, uninterrupted, serial
+        assert [r.metrics for r in rerun] == [r.metrics for r in reference]
 
     def test_interrupt_resume_bit_identical_to_serial(self, tmp_path):
-        checkpoint = str(tmp_path / "ckpt")
-        reference = run_batch(GRID, CONFIG)  # uninterrupted serial run
-
-        with pytest.raises(BatchInterrupted):
-            run_batch(GRID, CONFIG, checkpoint_dir=checkpoint,
-                      progress=self._interrupt_after(2))
-
-        manifest = tmp_path / "ckpt" / "manifest.jsonl"
-        records = [json.loads(line) for line in
-                   manifest.read_text().splitlines()]
-        assert records[0]["kind"] == "header"
-        assert len([r for r in records if r["kind"] == "result"]) == 2
-
-        executed = []
-        resumed = run_batch(
-            GRID, CONFIG, checkpoint_dir=checkpoint, resume=True,
-            progress=lambda update, done, total: (
-                executed.append(update.job_id) if update.finished else None
-            ),
-        )
-        assert resumed.skipped == 2
-        assert resumed.executed == len(GRID) - 2
-        assert len(executed) == len(GRID) - 2
-        completed_ids = {r["job_id"] for r in records if r["kind"] == "result"}
-        assert not completed_ids.intersection(executed)  # no re-execution
-        assert [r.metrics for r in resumed] == [r.metrics for r in reference]
+        self._interrupt_then_rerun(tmp_path, jobs=1)
 
     def test_parallel_resume_after_serial_interrupt(self, tmp_path):
-        checkpoint = str(tmp_path / "ckpt")
-        with pytest.raises(BatchInterrupted):
-            run_batch(GRID, CONFIG, checkpoint_dir=checkpoint,
-                      progress=self._interrupt_after(1))
-        resumed = run_batch(GRID, CONFIG, jobs=2,
-                            checkpoint_dir=checkpoint, resume=True)
-        reference = run_batch(GRID, CONFIG)
-        assert resumed.skipped == 1
-        assert [r.metrics for r in resumed] == [r.metrics for r in reference]
-
-    def test_resume_on_fresh_directory_runs_everything(self, tmp_path):
-        batch = run_batch(GRID, CONFIG, checkpoint_dir=str(tmp_path / "new"),
-                          resume=True)
-        assert batch.executed == len(GRID)
-        assert batch.skipped == 0
-
-    def test_resume_rejects_different_grid(self, tmp_path):
-        checkpoint = str(tmp_path / "ckpt")
-        run_batch(GRID, CONFIG, checkpoint_dir=checkpoint)
-        other = [JobSpec("derby", "HI", 42, 0)]
-        with pytest.raises(ReproError, match="different batch"):
-            run_batch(other, CONFIG, checkpoint_dir=checkpoint, resume=True)
-
-    def test_non_resume_reuse_starts_fresh(self, tmp_path):
-        checkpoint = str(tmp_path / "ckpt")
-        run_batch(GRID, CONFIG, checkpoint_dir=checkpoint)
-        other = [JobSpec("derby", "HI", 42, 0)]
-        batch = run_batch(other, CONFIG, checkpoint_dir=checkpoint)
-        assert batch.executed == 1  # old manifest truncated, no conflict
+        self._interrupt_then_rerun(tmp_path, jobs=2)
 
     def test_failed_cells_are_retried_on_resume(self, tmp_path):
-        checkpoint = str(tmp_path / "ckpt")
+        root = str(tmp_path / "cache")
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch")]
-        first = run_batch(specs, CONFIG, checkpoint_dir=checkpoint)
+        first = run_batch(specs, CONFIG, cache_dir=root)
         assert len(first.failures) == 1
-        resumed = run_batch(specs, CONFIG, checkpoint_dir=checkpoint,
-                            resume=True)
-        assert resumed.skipped == 1      # the ok cell
-        assert resumed.executed == 1     # the failed cell ran again
-        assert not resumed.results[1].resumed
-
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(ReproError, match="checkpoint"):
-            run_batch(GRID, CONFIG, resume=True)
+        rerun = run_batch(specs, CONFIG, cache_dir=root)
+        ok, failed = rerun.results
+        assert ok.ok and ok.cache_counters.get("result_hits") == 1
+        # A failure is never stored, so the failed cell runs again.
+        assert not failed.ok and "unknown workload" in failed.error
+        assert failed.cache_counters.get("result_hits", 0) == 0
+        assert failed.cache_counters.get("result_misses") == 1
 
 
 class TestBaselinePersistence:
@@ -308,29 +259,27 @@ class TestBaselinePersistence:
         (tmp_path / entry).write_text("{not json")
         assert BaselineStore(str(tmp_path)).get("derby", CONFIG) is None
 
-    def test_batch_persists_baselines_under_checkpoint(self, tmp_path):
-        checkpoint = tmp_path / "ckpt"
+    def test_batch_persists_baselines_under_cache_root(self, tmp_path):
+        root = tmp_path / "cache"
         batch = run_batch([JobSpec("derby", "HI", 100, 0)], CONFIG,
-                          checkpoint_dir=str(checkpoint))
-        store = BaselineStore(str(checkpoint / "baselines"))
+                          cache_dir=str(root))
+        store = BaselineStore(str(root / "baselines"))
         stored = store.get("derby", CONFIG)
         assert stored == batch.results[0].metrics["baseline_throughput"]
 
 
 class TestMetricsIntegration:
-    def test_runner_counters(self, tmp_path):
+    def test_runner_counters(self):
         registry = MetricsRegistry()
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch")]
-        checkpoint = str(tmp_path / "ckpt")
-        run_batch(specs, CONFIG, checkpoint_dir=checkpoint, metrics=registry)
+        run_batch(specs, CONFIG, metrics=registry)
         assert registry.get("runner_jobs_total").value == 2
         assert registry.get("runner_jobs_completed").value == 1
         assert registry.get("runner_jobs_failed").value == 1
         assert registry.get("runner_job_seconds").count == 2
 
-        run_batch(specs, CONFIG, checkpoint_dir=checkpoint, resume=True,
-                  metrics=registry, retries=1)
-        assert registry.get("runner_jobs_skipped").value == 1
+        run_batch(specs, CONFIG, metrics=registry, retries=1)
+        assert registry.get("runner_jobs_total").value == 4
         assert registry.get("runner_retries_total").value == 1
         assert "runner_jobs_total" in registry.to_prometheus()
 

@@ -243,7 +243,6 @@ class TestAcceptance:
             # must not tell them apart.
             batch = run_batch(
                 grid, config, jobs=jobs, span_profile=True,
-                baseline_dir=str(tmp_path / f"base-{jobs}-{cached}"),
                 cache_dir=str(tmp_path / f"cache-{jobs}") if cached else None,
             )
             if cached and jobs == 1:
