@@ -10,13 +10,14 @@ cells over two shared baselines):
    warm-cached, and every cell's metrics dict must be equal across all
    three;
 2. **cold-grid speedup** — a cold cache already pays off *within* one
-   grid, because all policy/N cells of a workload replay the one
-   materialized trace instead of regenerating it, each latency-100
+   grid.  The uncached run records each workload's trace in memory
+   once and replays it in its other cells too, but it primes and
+   simulates every cell.  The cold cache adds that each latency-100
    cell replays its latency-0 twin's memory tape instead of simulating
-   the hierarchy, and the HI cells prime once per workload: later
-   cells load the trace store's primed predictor.  The DEFAULT-profile
-   floor is **>= 1.5x** over the uncached run, which simulates and
-   primes every cell in full;
+   the hierarchy, and that the HI cells prime once per workload: later
+   cells load the trace store's primed predictor.  Its trace entries
+   also outlive the process, for later runs on the root.  The
+   DEFAULT-profile floor is **>= 1.5x** over the uncached run;
 3. **warm re-run speedup** — re-running the same grid against the
    populated cache short-circuits at the result layer (level 2) and
    never touches the simulator.  The DEFAULT-profile floor is
@@ -47,9 +48,10 @@ LATENCIES = (0, 100)
 ROUNDS = 2
 
 #: (cold-grid, warm-re-run) speedup floors per regime.  The DEFAULT
-#: numbers are the contract (measured 2.8-3.0x / 690-1080x on a 2-vCPU
-#: VM with memory tapes and primed states; docs/caching.md has the
-#: table); the TEST floors only catch the cache becoming a pessimisation.
+#: numbers are the contract (measured 1.7-2.5x / 380-830x on a 2-vCPU
+#: VM against an uncached grid that records each trace once in memory;
+#: docs/caching.md has the table); the TEST floors only catch the cache
+#: becoming a pessimisation.
 DEFAULT_FLOORS = (1.5, 5.0)
 TEST_FLOORS = (1.05, 3.0)
 

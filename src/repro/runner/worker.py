@@ -32,7 +32,10 @@ migration latency — share one memory simulation: the first records a
 memory tape, later twins in the same process replay it (see
 :func:`_twin_key` and :mod:`repro.cache.tapestore`).  The root's trace
 store likewise primes each learning policy once per priming stream and
-learning shape; later cells load the primed state.
+learning shape; later cells load the primed state.  Without a cache
+root, each process records every trace its first run draws, in memory
+(:class:`~repro.cache.tracestore.TraceRecordings`), and its later runs
+replay the recording; they still prime and simulate every cell.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ import os
 import signal
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cache.paths import baselines_dir
 from repro.cache.resultstore import ResultStore
 from repro.cache.tapestore import TapeStore
-from repro.cache.tracestore import TraceStore
+from repro.cache.tracestore import TraceRecordings, TraceStore
 from repro.errors import JobTimeout, ReproError
 from repro.obs import names
 from repro.obs.spans import NULL_PROFILER, SpanProfiler
@@ -82,9 +85,14 @@ _BASELINE_MEMO: Dict[Tuple[str, str], float] = {}
 #: :class:`TraceStore` per root preserves its LRU and its primed policy
 #: states across the jobs of a shard, which is where the trace-reuse
 #: win comes from; the :class:`TapeStore` holds the root's memory tapes
-#: the same way.
-_Stores = Tuple[TraceStore, ResultStore, TapeStore]
-_STORES: Dict[str, _Stores] = {}
+#: the same way.  Under the ``None`` key a process without a root keeps
+#: only its :class:`TraceRecordings`: no result store and no tapes.
+#: Forked pool workers inherit the dict, recordings included.
+_Stores = Tuple[
+    Union[TraceStore, TraceRecordings], Optional[ResultStore],
+    Optional[TapeStore],
+]
+_STORES: Dict[Optional[str], _Stores] = {}
 
 #: Job payload fields a latency twin may differ in: the latency itself,
 #: and the job id and tag, which only name the cell.
@@ -108,22 +116,27 @@ def _telemetry_writer(directory: Optional[str]) -> Optional[TelemetryWriter]:
     return writer
 
 
-def _cache_stores(cache_dir: Optional[str]) -> Optional[_Stores]:
-    if not cache_dir:
-        return None
-    stores = _STORES.get(cache_dir)
+def _cache_stores(cache_dir: Optional[str]) -> _Stores:
+    root = cache_dir or None
+    stores = _STORES.get(root)
     if stores is None:
-        stores = (TraceStore(cache_dir), ResultStore(cache_dir), TapeStore())
-        # per-process handles keyed by cache_dir; value-transparent caches
-        _STORES[cache_dir] = stores  # simlint: ignore[W702]
+        if root is None:
+            stores = (TraceRecordings(), None, None)
+        else:
+            stores = (TraceStore(root), ResultStore(root), TapeStore())
+        # per-process handles keyed by cache root; value-transparent caches
+        _STORES[root] = stores  # simlint: ignore[W702]
     return stores
 
 
-def _cache_counter_snapshot(stores: Optional[_Stores]) -> Dict[str, int]:
-    """Combined counter totals across the cache levels."""
+def _cache_counter_snapshot(stores: _Stores) -> Dict[str, int]:
+    """Combined counter totals across the cache levels.
+
+    Trace recordings, and the stores a worker without a root lacks,
+    count nothing."""
     totals: Dict[str, int] = {}
-    for store in stores or ():
-        for name, value in store.counters.items():
+    for store in stores:
+        for name, value in getattr(store, "counters", {}).items():
             totals[name] = totals.get(name, 0) + value
     return totals
 
@@ -150,7 +163,7 @@ def _baseline_throughput(
     workload: str,
     config: SimulatorConfig,
     cache_dir: Optional[str],
-    trace_store: Optional[TraceStore] = None,
+    trace_store: Union[TraceStore, TraceRecordings, None] = None,
 ) -> float:
     key = (workload, config_fingerprint(config))
     store = BaselineStore(baselines_dir(cache_dir)) if cache_dir else None
@@ -203,10 +216,10 @@ class _Alarm:
 
 def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
               cache_dir: Optional[str],
-              stores: Optional[_Stores] = None,
+              stores: _Stores,
               profiler: SpanProfiler = NULL_PROFILER) -> Dict[str, float]:
     """Simulate one cell and measure it; raises on any model error."""
-    trace_store, result_store, tape_store = stores or (None, None, None)
+    trace_store, result_store, tape_store = stores
     if result_store is not None:
         with profiler.span(names.SPAN_CELL_RESULT_CACHE):
             cached = result_store.get(
