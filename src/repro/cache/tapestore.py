@@ -38,8 +38,7 @@ class TapeStore:
     worker folds them into each cell's ``cache_counters``.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_TAPE_BYTES):
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self._lru: "OrderedDict[str, Any]" = OrderedDict()
         self._bytes = 0
         self.counters: Dict[str, int] = {"tape_hits": 0, "tape_misses": 0}
@@ -61,6 +60,6 @@ class TapeStore:
             self._bytes -= old.nbytes
         self._lru[key] = tape
         self._bytes += tape.nbytes
-        while self._bytes > self.max_bytes:
+        while self._bytes > DEFAULT_TAPE_BYTES:
             _, evicted = self._lru.popitem(last=False)
             self._bytes -= evicted.nbytes

@@ -4,17 +4,21 @@ A :class:`~repro.workloads.generator.TraceGenerator` stream is a pure
 function of (workload spec, scale profile, seed, thread id) — none of
 the knobs a grid sweeps (policy, threshold, migration latency, core
 count) reach the generator's RNG.  Every cell of a fig4/fig5
-grid therefore consumes the *same* per-thread stream, and today each
-cell regenerates it from scratch.
+grid therefore consumes the *same* per-thread stream, and without a
+store each cell regenerates it from scratch.
 
-:class:`TraceStore` materializes a stream exactly once per key: the
-full event list (the engine's ``budget * 2 + 1`` request, recorded in
-the manifest and re-checked on load) together with every per-event
-reference array, drawn in the engine's exact order — data accesses
-first, then instruction fetches when ``enable_icache`` is on.  Because
-the recorder consumes the generator precisely as the engine would, a
-replayed trace is bit-identical to a live one: same events, same
-arrays, same downstream LRU/MESI state (the golden suite pins this).
+One form holds such a stream in memory: a :class:`_Recording`, the
+events and each event's reference arrays, drawn in the engine's exact
+order — data accesses first, then instruction fetches when
+``enable_icache`` is on.  :class:`TraceStore` materializes a stream
+exactly once per key: a recording driven to the engine's
+``budget * 2 + 1`` request (recorded in the manifest and re-checked on
+load), saved with its per-event arrays concatenated into columns.  A
+load splits the columns back into per-event views, which copy no data,
+and returns a complete recording.  Because the recorder consumes the
+generator precisely as the engine would, a replayed trace is
+bit-identical to a live one: same events, same arrays, same downstream
+LRU/MESI state (the golden suite pins this).
 
 The policy-priming stream is cached the same way under its own key —
 it is pure event generation and costs as much as the timed trace at
@@ -22,6 +26,8 @@ small scale profiles.  A priming entry holds exactly the invocations
 :func:`~repro.workloads.generator.priming_invocations` yields for its
 key's ``policy_priming_invocations`` and ``include_window_traps``: the
 stream ``OffloadEngine._prime_policy`` feeds the policy, nothing more.
+In memory it is just that tuple of invocations; on disk it keeps the
+trace columns, its reference columns empty.
 
 What priming teaches a learning policy depends only on that stream and
 on how the policy learns, so the store also keeps *primed policy
@@ -95,92 +101,50 @@ PRIMED_ENTRIES = 64
 _EMPTY_LINES = np.empty(0, dtype=np.int64)
 _EMPTY_WRITES = np.empty(0, dtype=bool)
 
-
-class _TraceData:
-    """One decoded entry: the event tuple plus flattened access streams."""
-
-    __slots__ = (
-        "kind", "budget", "events", "data_lines", "data_writes",
-        "data_starts", "code_lines", "code_starts", "priming_target",
-    )
-
-    #: A decoded entry keeps its whole stream (see ``_Recording.base``).
-    base = 0
-
-    def __init__(
-        self,
-        kind: str,
-        budget: int,
-        events: Tuple[TraceEvent, ...],
-        data_lines: np.ndarray,
-        data_writes: np.ndarray,
-        data_starts: np.ndarray,
-        code_lines: Optional[np.ndarray],
-        code_starts: Optional[np.ndarray],
-        priming_target: int = 0,
-    ):
-        self.kind = kind
-        self.budget = budget
-        self.events = events
-        self.data_lines = data_lines
-        self.data_writes = data_writes
-        self.data_starts = data_starts
-        self.code_lines = code_lines
-        self.code_starts = code_starts
-        self.priming_target = priming_target
-
-    def data_at(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        start = self.data_starts[index]
-        stop = self.data_starts[index + 1]
-        return self.data_lines[start:stop], self.data_writes[start:stop]
-
-    def code_at(self, index: int) -> np.ndarray:
-        assert self.code_lines is not None and self.code_starts is not None
-        return self.code_lines[self.code_starts[index]:self.code_starts[index + 1]]
-
-    def extend(self) -> bool:
-        """A decoded entry is complete: it has no next event to pull."""
-        return False
+#: A priming entry in memory: the invocations that prime a policy.
+_Priming = Tuple[OSInvocation, ...]
 
 
 class _Recording:
-    """One thread's stream, recorded as the engine draws it.
+    """One thread's stream: its events and each event's reference arrays.
 
-    A cursor that reaches the end calls :meth:`extend`, which pulls the
-    next event from the generator; the event's references are drawn
-    when the engine asks for them (data, then code with the I-cache),
-    and always before a later event is pulled.  That is the order a
-    live engine consumes a generator in, so the recording holds exactly
-    the live stream, however many runs read it.
+    A recording over a ``generator`` starts empty.  A cursor that
+    reaches its end calls :meth:`extend`, which pulls the next event
+    from the generator; the event's references are drawn when the
+    engine asks for them (data, then code with the I-cache), and always
+    before a later event is pulled.  That is the order a live engine
+    consumes a generator in, so the recording holds exactly the live
+    stream, however many runs read it.  A recording without a generator
+    is complete: :func:`_decode` fills it from a trace store entry, and
+    its cursors never pull.
 
     A recording that is not ``kept`` is never handed out again by the
     :class:`TraceRecordings` level.  That happens when a call into the
     generator raises (a ``JobTimeout`` can fire between two RNG draws,
-    leaving the generator mid-draw), and when the references pass
-    ``max_bytes``: from then on the recording drops each event once the
-    next one is pulled, so the cursor reading it runs on live.  Stream
-    positions before ``base`` are dropped; a trace store entry's
-    recording (``max_bytes=None``) keeps every event.  Dropping is safe
-    because one cursor reads a recording at a time: runs in a process
-    are sequential, and a run reads each thread through one cursor.
+    leaving the generator mid-draw), and when the drawn references
+    (``nbytes``) pass ``max_bytes``: from then on the recording drops
+    each event once the next one is pulled, so the cursor reading it
+    runs on live.  Stream positions before ``base`` are dropped; a
+    recording without ``max_bytes`` keeps every event.  Dropping is
+    safe because one cursor reads a recording at a time: runs in a
+    process are sequential, and a run reads each thread through one
+    cursor.
     """
 
     __slots__ = (
-        "budget", "events", "lines", "writes", "code", "base", "nbytes",
-        "kept", "_max_bytes", "_generator", "_pending", "_icache",
+        "budget", "icache", "events", "lines", "writes", "code", "base",
+        "nbytes", "kept", "_max_bytes", "_generator", "_pending",
     )
 
     def __init__(
         self,
-        spec: WorkloadSpec,
-        profile: ScaleProfile,
-        seed: int,
-        thread_id: int,
         instruction_budget: int,
         icache: bool,
-        max_bytes: Optional[int],
+        generator: Optional[TraceGenerator] = None,
+        max_bytes: Optional[int] = None,
     ):
         self.budget = instruction_budget
+        self.icache = icache
         self.events: List[TraceEvent] = []
         # One entry per drawn event; ``code`` stays empty without icache.
         self.lines: List[np.ndarray] = []
@@ -190,10 +154,11 @@ class _Recording:
         self.nbytes = 0
         self.kept = True
         self._max_bytes = max_bytes
-        generator = TraceGenerator(spec, profile, seed=seed, thread_id=thread_id)
         self._generator = generator
-        self._pending = generator.events(instruction_budget)
-        self._icache = icache
+        self._pending: Iterator[TraceEvent] = (
+            generator.events(instruction_budget) if generator is not None
+            else iter(())
+        )
 
     def extend(self) -> bool:
         """Pull the next event; ``False`` once the stream is exhausted."""
@@ -233,42 +198,42 @@ class _Recording:
         event = self.events[len(self.lines)]
         if isinstance(event, UserSegment):
             lines, writes = generator.user_accesses(event.instructions)
-            if self._icache:
+            if self.icache:
                 self.code.append(generator.user_code_accesses(event.instructions))
         else:
             lines, writes = generator.os_accesses(event)
-            if self._icache:
+            if self.icache:
                 self.code.append(generator.os_code_accesses(event))
         self.writes.append(writes)
         self.lines.append(lines)
         self.nbytes += lines.nbytes + writes.nbytes
-        if self._icache:
+        if self.icache:
             self.nbytes += self.code[-1].nbytes
 
 
 class _ReplayTrace:
-    """Duck-types :class:`TraceGenerator` over an entry or a recording.
+    """Duck-types :class:`TraceGenerator` over a :class:`_Recording`.
 
     The engine consumes a generator as ``next(events)`` followed by the
     event's data draw and (with icache) its code draw — always in that
     order, on every path.  A single event cursor therefore suffices:
     each access method returns the arrays recorded for the most
-    recently yielded event.  A cursor that reaches the end of a
-    :class:`_Recording` extends it; ``base`` maps its stream positions
-    to the recording's lists (always 0 for an entry).  One cursor per
-    engine context; the entry or recording itself is shared read-only
-    (nothing downstream mutates the arrays in place).
+    recently yielded event.  A cursor that reaches the end of the
+    recording extends it (a complete one has nothing to pull);
+    ``base`` maps its stream positions to the recording's lists.  One
+    cursor per engine context; the recording itself is shared
+    read-only (nothing downstream mutates the arrays in place).
     """
 
     __slots__ = ("_data", "_index")
 
-    def __init__(self, data: Union[_TraceData, _Recording]):
+    def __init__(self, data: _Recording):
         self._data = data
         self._index = -1
 
     def events(self, instruction_budget: int) -> Iterator[TraceEvent]:
         # The store or level checked ``instruction_budget`` against the
-        # entry's or recording's budget before handing out this replay.
+        # recording's budget before handing out this replay.
         return self._iter()
 
     def _iter(self) -> Iterator[TraceEvent]:
@@ -293,20 +258,6 @@ class _ReplayTrace:
         return self._data.code_at(self._index)
 
 
-# ----------------------------------------------------------------------
-# materialization (the recorder)
-# ----------------------------------------------------------------------
-
-def _starts(counts: List[int]) -> np.ndarray:
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(counts, dtype=np.int64), out=starts[1:])
-    return starts
-
-
-def _concat(parts: List[np.ndarray], empty: np.ndarray) -> np.ndarray:
-    return np.concatenate(parts) if parts else empty.copy()
-
-
 def _materialize_trace(
     spec: WorkloadSpec,
     profile: ScaleProfile,
@@ -314,63 +265,70 @@ def _materialize_trace(
     thread_id: int,
     instruction_budget: int,
     icache: bool,
-) -> _TraceData:
+) -> _Recording:
     """Record one thread's full stream: a recording driven to the budget."""
     recording = _Recording(
-        spec, profile, seed, thread_id, instruction_budget, icache,
-        max_bytes=None,
+        instruction_budget, icache,
+        TraceGenerator(spec, profile, seed=seed, thread_id=thread_id),
     )
     while recording.extend():
         pass
-    return _TraceData(
-        kind=TRACE_KIND,
-        budget=instruction_budget,
-        events=tuple(recording.events),
-        data_lines=_concat(recording.lines, _EMPTY_LINES),
-        data_writes=_concat(recording.writes, _EMPTY_WRITES),
-        data_starts=_starts([len(lines) for lines in recording.lines]),
-        code_lines=_concat(recording.code, _EMPTY_LINES) if icache else None,
-        code_starts=(
-            _starts([len(code) for code in recording.code]) if icache else None
-        ),
-    )
-
-
-def _materialize_priming(
-    spec: WorkloadSpec,
-    profile: ScaleProfile,
-    seed: int,
-    target: int,
-    include_window_traps: bool,
-) -> _TraceData:
-    """Record the priming stream: the ``target`` invocations, traps
-    included or not, that :func:`priming_invocations` feeds a policy."""
-    events = tuple(
-        priming_invocations(spec, profile, seed, target, include_window_traps)
-    )
-    return _TraceData(
-        kind=PRIME_KIND,
-        budget=0,
-        events=events,
-        data_lines=_EMPTY_LINES.copy(),
-        data_writes=_EMPTY_WRITES.copy(),
-        data_starts=np.zeros(len(events) + 1, dtype=np.int64),
-        code_lines=None,
-        code_starts=None,
-        priming_target=target,
-    )
+    return recording
 
 
 # ----------------------------------------------------------------------
 # serialisation
 # ----------------------------------------------------------------------
 
-def _encode(data: _TraceData) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    count = len(data.events)
+def _starts(parts: List[np.ndarray]) -> np.ndarray:
+    """Offsets of each part in their concatenation, plus its length."""
+    starts = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(np.asarray([len(part) for part in parts], dtype=np.int64),
+              out=starts[1:])
+    return starts
+
+
+def _concat(parts: List[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(parts) if parts else empty
+
+
+def _split(column: np.ndarray, starts: np.ndarray) -> List[np.ndarray]:
+    """The per-event views of a concatenated column; no data is copied."""
+    bounds = starts.tolist()
+    return [column[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _encode(
+    data: Union[_Recording, _Priming],
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """The arrays and manifest of a trace entry (a whole recording,
+    its per-event arrays concatenated into columns) or a priming entry
+    (its invocations, with empty reference columns)."""
+    code: Dict[str, np.ndarray] = {}
+    if isinstance(data, _Recording):
+        kind, budget, target, events = TRACE_KIND, data.budget, 0, data.events
+        references = {
+            "data_starts": _starts(data.lines),
+            "data_lines": _concat(data.lines, _EMPTY_LINES),
+            "data_writes": _concat(data.writes, _EMPTY_WRITES),
+        }
+        if data.icache:
+            code = {
+                "code_starts": _starts(data.code),
+                "code_lines": _concat(data.code, _EMPTY_LINES),
+            }
+    else:
+        kind, budget, target, events = PRIME_KIND, 0, len(data), data
+        references = {
+            "data_starts": np.zeros(len(data) + 1, dtype=np.int64),
+            "data_lines": _EMPTY_LINES,
+            "data_writes": _EMPTY_WRITES,
+        }
+    count = len(events)
     kinds = np.zeros(count, dtype=np.uint8)
     lengths = np.zeros(count, dtype=np.int64)
     invocations: List[OSInvocation] = []
-    for index, event in enumerate(data.events):
+    for index, event in enumerate(events):
         if isinstance(event, UserSegment):
             lengths[index] = event.instructions
         else:
@@ -382,9 +340,7 @@ def _encode(data: _TraceData) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     arrays: Dict[str, np.ndarray] = {
         "kinds": kinds,
         "lengths": lengths,
-        "data_starts": data.data_starts,
-        "data_lines": data.data_lines,
-        "data_writes": data.data_writes,
+        **references,
         "inv_vector": np.array([i.vector for i in invocations], dtype=np.int64),
         "inv_name": np.array([name_index[i.name] for i in invocations], dtype=np.int64),
         "inv_pstate": np.array([i.astate.pstate for i in invocations], dtype=np.int64),
@@ -408,20 +364,17 @@ def _encode(data: _TraceData) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
             ],
             dtype=np.uint8,
         ),
+        **code,
     }
-    icache = data.code_lines is not None
-    if icache:
-        arrays["code_starts"] = data.code_starts
-        arrays["code_lines"] = data.code_lines
     manifest = {
         "schema": CACHE_SCHEMA_VERSION,
-        "kind": data.kind,
-        "budget": data.budget,
+        "kind": kind,
+        "budget": budget,
         "events": count,
         "invocations": len(invocations),
         "names": names,
-        "icache": icache,
-        "priming_target": data.priming_target,
+        "icache": bool(code),
+        "priming_target": target,
     }
     return arrays, manifest
 
@@ -438,7 +391,11 @@ _INVOCATION_COLUMNS = (
 )
 
 
-def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceData:
+def _decode(
+    manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]
+) -> Union[_Recording, _Priming]:
+    """Inverse of :func:`_encode`: a complete recording, or a priming
+    entry's invocations."""
     count = int(manifest["events"])
     names = manifest["names"]
     kinds = arrays["kinds"]
@@ -457,7 +414,6 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
         "data stream truncated",
     )
     icache = bool(manifest["icache"])
-    code_lines = code_starts = None
     if icache:
         code_starts = arrays["code_starts"]
         code_lines = arrays["code_lines"]
@@ -477,7 +433,7 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
     # field by field costs more than the whole conversion.
     columns = [arrays[name].tolist() for name in _INVOCATION_COLUMNS]
     columns.append(lengths[kinds != 0].tolist())
-    invocations = iter([
+    invocations = [
         OSInvocation(
             vector=vector,
             name=names[name],
@@ -494,22 +450,26 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
             vector, name, pstate, g0, g1, i0, i1, pre, size, shared, flags,
             length,
         ) in zip(*columns)
-    ])
-    events = tuple(
-        next(invocations) if kind else UserSegment(instructions=length)
+    ]
+    if manifest["kind"] == PRIME_KIND:
+        _require(total == count, "priming entry holds a user segment")
+        _require(
+            int(manifest["priming_target"]) == count,
+            "priming entry does not hold its target's invocations",
+        )
+        return tuple(invocations)
+    pending = iter(invocations)
+    events: List[TraceEvent] = [
+        next(pending) if kind else UserSegment(instructions=length)
         for kind, length in zip(kinds.tolist(), lengths.tolist())
-    )
-    return _TraceData(
-        kind=str(manifest["kind"]),
-        budget=int(manifest["budget"]),
-        events=tuple(events),
-        data_lines=data_lines,
-        data_writes=data_writes,
-        data_starts=data_starts,
-        code_lines=code_lines,
-        code_starts=code_starts,
-        priming_target=int(manifest.get("priming_target", 0)),
-    )
+    ]
+    recording = _Recording(int(manifest["budget"]), icache)
+    recording.events = events
+    recording.lines = _split(data_lines, data_starts)
+    recording.writes = _split(data_writes, data_starts)
+    if icache:
+        recording.code = _split(code_lines, code_starts)
+    return recording
 
 
 # ----------------------------------------------------------------------
@@ -564,11 +524,13 @@ class TraceRecordings:
             or not recording.kept
             or recording.budget != instruction_budget
         ):
+            generator = TraceGenerator(
+                spec, ScaleProfile(**payload["profile"]),
+                seed=payload["seed"], thread_id=thread_id,
+            )
             recording = _Recording(
-                spec, ScaleProfile(**payload["profile"]), payload["seed"],
-                thread_id, instruction_budget,
-                icache=bool(payload["enable_icache"]),
-                max_bytes=RECORDING_BYTES,
+                instruction_budget, bool(payload["enable_icache"]),
+                generator, max_bytes=RECORDING_BYTES,
             )
             recordings[key] = recording
         recordings.move_to_end(key)
@@ -609,12 +571,13 @@ class TraceStore:
     into the ``repro_cache_*`` metrics.
     """
 
-    def __init__(self, root: str, max_entries: int = DEFAULT_LRU_ENTRIES):
+    def __init__(self, root: str):
         self.root = root
         self.directory = os.path.join(root, TRACES_SUBDIR)
         os.makedirs(self.directory, exist_ok=True)
-        self.max_entries = max(1, max_entries)
-        self._lru: "OrderedDict[str, _TraceData]" = OrderedDict()
+        self._lru: "OrderedDict[str, Union[_Recording, _Priming]]" = (
+            OrderedDict()
+        )
         self._primed: "OrderedDict[Tuple[str, Tuple[Any, ...]], Any]" = (
             OrderedDict()
         )
@@ -638,8 +601,8 @@ class TraceStore:
     ):
         """A trace source for one engine context.
 
-        Returns a replay over the materialized entry (recording it
-        first on a miss), or — if the cache is unusable for any reason
+        Returns a replay over the entry's recording (recorded to the
+        budget and saved on a miss), or — if the cache is unusable for any reason
         — a live :class:`TraceGenerator` identical to what the engine
         would have built itself.
         """
@@ -648,20 +611,20 @@ class TraceStore:
         seed = payload["seed"]
         try:
             key = trace_key(spec, payload, thread_id)
-            data = self._lookup(key, TRACE_KIND)
-            if data is not None and data.budget != instruction_budget:
-                data = None  # profile drift; rematerialize under this budget
-            if data is None:
-                data = _materialize_trace(
+            recording = self._lookup(key, TRACE_KIND)
+            if recording is not None and recording.budget != instruction_budget:
+                recording = None  # profile drift; rematerialize under this budget
+            if recording is None:
+                recording = _materialize_trace(
                     spec, profile, seed, thread_id, instruction_budget,
                     icache=bool(payload["enable_icache"]),
                 )
                 self.counters["trace_misses"] += 1
-                self._remember(key, data)
-                self._save(key, data)
+                self._remember(key, recording)
+                self._save(key, recording)
             else:
                 self.counters["trace_hits"] += 1
-            return _ReplayTrace(data)
+            return _ReplayTrace(recording)
         except JobTimeout:
             raise
         except Exception as error:
@@ -687,19 +650,19 @@ class TraceStore:
         include_traps = payload["include_window_traps"]
         try:
             key = prime_key(spec, payload)
-            data = self._lookup(key, PRIME_KIND)
-            if data is not None and data.priming_target != target:
-                data = None
-            if data is None:
-                data = _materialize_priming(
+            invocations = self._lookup(key, PRIME_KIND)
+            if invocations is not None and len(invocations) != target:
+                invocations = None
+            if invocations is None:
+                invocations = tuple(priming_invocations(
                     spec, profile, seed, target, include_traps
-                )
+                ))
                 self.counters["trace_misses"] += 1
-                self._remember(key, data)
-                self._save(key, data)
+                self._remember(key, invocations)
+                self._save(key, invocations)
             else:
                 self.counters["trace_hits"] += 1
-            return iter(data.events)
+            return iter(invocations)
         except JobTimeout:
             raise
         except Exception as error:
@@ -751,13 +714,15 @@ class TraceStore:
         base = os.path.join(self.directory, key)
         return base + ".json", base + ".npz"
 
-    def _remember(self, key: str, data: _TraceData) -> None:
+    def _remember(self, key: str, data: Union[_Recording, _Priming]) -> None:
         self._lru[key] = data
         self._lru.move_to_end(key)
-        while len(self._lru) > self.max_entries:
+        while len(self._lru) > DEFAULT_LRU_ENTRIES:
             self._lru.popitem(last=False)
 
-    def _lookup(self, key: str, kind: str) -> Optional[_TraceData]:
+    def _lookup(
+        self, key: str, kind: str
+    ) -> Optional[Union[_Recording, _Priming]]:
         data = self._lru.get(key)
         if data is not None:
             self._lru.move_to_end(key)
@@ -767,7 +732,9 @@ class TraceStore:
             self._remember(key, data)
         return data
 
-    def _load(self, key: str, kind: str) -> Optional[_TraceData]:
+    def _load(
+        self, key: str, kind: str
+    ) -> Optional[Union[_Recording, _Priming]]:
         manifest_path, npz_path = self._paths(key)
         try:
             with open(manifest_path, "rb") as handle:
@@ -809,7 +776,7 @@ class TraceStore:
         self.counters["bytes_read"] += size + len(raw_manifest)
         return data
 
-    def _save(self, key: str, data: _TraceData) -> None:
+    def _save(self, key: str, data: Union[_Recording, _Priming]) -> None:
         """Persist atomically; persistence failures degrade, never raise."""
         manifest_path, npz_path = self._paths(key)
         try:

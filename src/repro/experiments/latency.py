@@ -18,8 +18,9 @@ two or four OS cores hold the tail flat for another factor of N.
 Each (load, pool-size) combination is one single-cell batch through
 :func:`~repro.experiments.common.run_job_grid` (a batch shares one
 simulator configuration, and the service knobs *are* configuration),
-so every cell is independently cacheable and bit-identical between ``--jobs 1`` and ``--jobs 2`` and from a warm
-cache.
+so every cell is independently cacheable and a warm cache reproduces
+it bit for bit.  The runner executes a one-cell batch in the calling
+process, so ``--jobs`` starts no worker processes here.
 """
 
 from __future__ import annotations

@@ -341,7 +341,7 @@ class OffloadEngine:
         self._slack_budget = budget_per_core * 2 + 1
         self.contexts: List[_CoreContext] = []
         for index in range(n_user):
-            generator = self._trace_source(index)
+            generator, events = self._core_trace(index)
             core = InOrderCore(config.core, self.stats.cores[index])
             self.contexts.append(
                 _CoreContext(
@@ -349,7 +349,7 @@ class OffloadEngine:
                     node_id=index,
                     core=core,
                     generator=generator,
-                    events=generator.events(self._slack_budget),
+                    events=events,
                     branch=BranchInterferenceModel() if config.enable_branch_model else None,
                     tlb=TranslationBuffer(config.core.tlb_entries) if config.enable_tlb else None,
                 )
@@ -358,6 +358,11 @@ class OffloadEngine:
         self._epoch_executed = 0
         self._epoch_l2_snapshot = (0, 0)
         self._epoch_settled_snapshot: Optional[Tuple[int, int]] = None
+
+    def _core_trace(self, index: int) -> Tuple[Any, Iterator[TraceEvent]]:
+        """The trace source user core ``index`` starts on, and its events."""
+        generator = self._trace_source(index)
+        return generator, generator.events(self._slack_budget)
 
     def _trace_source(self, thread_id: int) -> Any:
         """One hardware thread's trace: replayed from the store, or live."""

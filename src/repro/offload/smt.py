@@ -65,28 +65,32 @@ class SMTOffloadEngine(OffloadEngine):
     def __init__(self, spec, policy, migration, config, controller=None,
                  bus=None, metrics=None, trace_store=None, profiler=None,
                  memory_tape=None):
-        super().__init__(spec, policy, migration, config, controller,
-                         bus=bus, metrics=metrics, trace_store=trace_store,
-                         profiler=profiler, memory_tape=memory_tape)
-        threads = config.threads_per_user_core
-        if threads < 2:
+        if config.threads_per_user_core < 2:
             raise SimulationError(
                 "SMTOffloadEngine requires threads_per_user_core >= 2; "
                 "use OffloadEngine for the single-threaded configuration"
             )
         # Per user core: a list of thread states with globally unique
-        # thread ids (disjoint address regions per thread).
+        # thread ids (disjoint address regions per thread), opened by
+        # :meth:`_core_trace` as the base engine builds each core.
         self._threads: List[List[_ThreadState]] = []
-        for core_index in range(config.num_user_cores):
-            group: List[_ThreadState] = []
-            for slot in range(threads):
-                thread_id = core_index * threads + slot
-                generator = self._trace_source(thread_id)
-                group.append(_ThreadState(
-                    thread_id, generator, generator.events(self._slack_budget)
-                ))
-            self._threads.append(group)
+        super().__init__(spec, policy, migration, config, controller,
+                         bus=bus, metrics=metrics, trace_store=trace_store,
+                         profiler=profiler, memory_tape=memory_tape)
         self._running: Optional[_ThreadState] = None
+
+    def _core_trace(self, index: int) -> Tuple[Any, Iterator[TraceEvent]]:
+        """Open every thread of core ``index``; the core starts on its first."""
+        threads = self.config.threads_per_user_core
+        group: List[_ThreadState] = []
+        for slot in range(threads):
+            thread_id = index * threads + slot
+            generator = self._trace_source(thread_id)
+            group.append(_ThreadState(
+                thread_id, generator, generator.events(self._slack_budget)
+            ))
+        self._threads.append(group)
+        return group[0].generator, group[0].events
 
     # ------------------------------------------------------------------
     # phase machinery (blocked-switch scheduling)

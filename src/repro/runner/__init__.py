@@ -8,19 +8,18 @@ subsystem executes such grids fast and safely:
   config x seed, identified by a stable ``job_id``);
 - :func:`derive_seed` — deterministic per-job seed derivation from a
   single root seed (SHA-256 based, order- and worker-count-independent);
-- :class:`BatchRunner` / :func:`run_batch` — the scheduler: serial
-  reference path (``jobs=1``) or a sharded
+- :class:`BatchRunner` — the scheduler: serial reference path
+  (``jobs=1``) or a sharded
   :class:`~concurrent.futures.ProcessPoolExecutor` pool, with per-job
   timeout/retry, captured-traceback failure records, and ``runner_*``
   metrics in a :class:`~repro.obs.metrics.MetricsRegistry`;
 - :class:`BaselineStore` — the process-safe on-disk baseline memo
   under a cache root's ``baselines/`` section;
-- :class:`CellUpdate` — the started/retried/finished transition object
-  handed to the scheduler's progress callback;
 - :class:`TelemetryWriter` / :class:`TelemetryReader` /
   :class:`SweepMonitor` — live sweep telemetry: worker heartbeats and
   lifecycle records on disk, folded into the stall-aware progress
-  snapshot behind ``repro serve``.
+  snapshot behind ``repro serve``.  A :class:`SweepMonitor` is also
+  the one observer of a batch's started/retried/finished transitions.
 
 See ``docs/parallelism.md`` for the architecture, re-running a killed
 grid on its cache root, and determinism guarantees.
@@ -36,16 +35,7 @@ from repro.runner.jobspec import (
     config_to_payload,
     derive_seed,
 )
-from repro.runner.scheduler import (
-    STAGE_FINISHED,
-    STAGE_RETRIED,
-    STAGE_STARTED,
-    BatchInterrupted,
-    BatchRunner,
-    CellUpdate,
-    run_batch,
-    shard_jobs,
-)
+from repro.runner.scheduler import BatchRunner, shard_jobs
 from repro.runner.telemetry import (
     SweepMonitor,
     TelemetryReader,
@@ -57,16 +47,11 @@ from repro.runner.worker import JobTimeout, execute_job
 
 __all__ = [
     "BaselineStore",
-    "BatchInterrupted",
     "BatchResult",
     "BatchRunner",
-    "CellUpdate",
     "JobResult",
     "JobSpec",
     "JobTimeout",
-    "STAGE_FINISHED",
-    "STAGE_RETRIED",
-    "STAGE_STARTED",
     "SweepMonitor",
     "TelemetryReader",
     "TelemetryWriter",
@@ -76,7 +61,6 @@ __all__ = [
     "derive_seed",
     "execute_job",
     "read_grid_manifest",
-    "run_batch",
     "shard_jobs",
     "write_grid_manifest",
 ]

@@ -80,7 +80,6 @@ class JobSpec:
     threshold: int = 100
     latency: int = 100
     seed: Optional[int] = None
-    dynamic_n: bool = False
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -109,8 +108,6 @@ class JobSpec:
             f"L{self.latency}",
             f"s{self.seed}",
         ]
-        if self.dynamic_n:
-            parts.append("dyn")
         if self.tag:
             parts.append(self.tag)
         return "/".join(parts)
@@ -123,7 +120,6 @@ class JobSpec:
             "threshold": self.threshold,
             "latency": self.latency,
             "seed": self.seed,
-            "dynamic_n": self.dynamic_n,
             "tag": self.tag,
         }
 
@@ -135,7 +131,6 @@ class JobSpec:
             threshold=payload["threshold"],
             latency=payload["latency"],
             seed=payload["seed"],
-            dynamic_n=payload.get("dynamic_n", False),
             tag=payload.get("tag", ""),
         )
 

@@ -28,11 +28,12 @@ only the missing cells simulate.
 
 Progress and failure counts flow into an optional
 :class:`~repro.obs.metrics.MetricsRegistry` under ``runner_*`` names,
-and an optional ``progress`` callback observes every cell *transition*
-— started, retried, finished — as a :class:`CellUpdate` (raising from
-it aborts the batch cleanly, which is also how tests interrupt a batch
-mid-grid).  Every cell is guaranteed a ``started`` update before its
-``finished`` update, with ``retried`` strictly between attempts.
+and an optional :class:`SweepMonitor` observes every cell *transition*
+through ``on_started``, ``on_retried`` and ``on_finished`` (raising
+from one aborts the batch; the stored results stay valid, which is
+how tests interrupt a batch mid-grid).  Every cell is guaranteed an
+``on_started`` before its ``on_finished``, with ``on_retried``
+strictly between attempts.
 
 With a ``telemetry_dir``, workers append heartbeat and lifecycle
 records that the scheduler folds back in while waiting on the pool
@@ -48,7 +49,6 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import ReproError
@@ -71,33 +71,6 @@ from repro.sim.config import SimulatorConfig
 
 logger = logging.getLogger(__name__)
 
-#: Cell lifecycle stages surfaced through the progress callback.
-STAGE_STARTED = "started"
-STAGE_RETRIED = "retried"
-STAGE_FINISHED = "finished"
-
-
-@dataclass(frozen=True)
-class CellUpdate:
-    """One cell lifecycle transition observed by the scheduler.
-
-    ``result`` is populated only for ``finished`` updates; ``attempt``
-    is the 1-based attempt the transition refers to (for ``retried``,
-    the attempt that just failed).
-    """
-
-    stage: str
-    job_id: str
-    attempt: int = 1
-    result: Optional[JobResult] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.stage == STAGE_FINISHED
-
-
-ProgressCallback = Callable[[CellUpdate, int, int], None]
-
 #: Pool-wait timeout (seconds) while a telemetry directory is attached:
 #: the scheduler wakes this often to fold worker heartbeats in.
 _TELEMETRY_POLL_S = 0.25
@@ -108,10 +81,6 @@ SHARDS_PER_WORKER = 4
 
 #: Histogram bucket edges (seconds) for per-cell wall time.
 _DURATION_BUCKETS = (0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
-
-
-class BatchInterrupted(ReproError):
-    """Raised to abort a batch between cells (stored results stay valid)."""
 
 
 def shard_jobs(items: Sequence, num_shards: int) -> List[List]:
@@ -140,7 +109,6 @@ class BatchRunner:
         timeout_s: Optional[float] = None,
         retries: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[ProgressCallback] = None,
         cache_dir: Optional[str] = None,
         monitor: Optional[SweepMonitor] = None,
         telemetry_dir: Optional[str] = None,
@@ -156,7 +124,6 @@ class BatchRunner:
         self.timeout_s = timeout_s
         self.retries = retries
         self.metrics = metrics
-        self.progress = progress
         self.monitor = monitor
         self.telemetry_dir = telemetry_dir
         self.span_profile = span_profile
@@ -189,7 +156,7 @@ class BatchRunner:
             monitor.begin(len(resolved))
 
         attempts: Dict[str, int] = {job_id: 0 for job_id in payload_by_id}
-        #: cells whose current attempt already got a ``started`` update
+        #: cells whose current attempt already had its started transition
         started_seen: Set[str] = set()
         running: Set[str] = set()
 
@@ -200,10 +167,6 @@ class BatchRunner:
                     instruments["cells_stalled"].set(
                         len(monitor.snapshot()["stalled"])
                     )
-
-        def notify(update: CellUpdate) -> None:
-            if self.progress is not None:
-                self.progress(update, len(results), len(resolved))
 
         def on_start(job_id: Optional[str]) -> None:
             # Guard against telemetry from a different batch sharing the
@@ -217,7 +180,6 @@ class BatchRunner:
             if monitor is not None:
                 monitor.on_started(job_id)
             refresh_gauges()
-            notify(CellUpdate(STAGE_STARTED, job_id, attempts[job_id] + 1))
 
         def poll_telemetry() -> None:
             assert reader is not None
@@ -273,9 +235,6 @@ class BatchRunner:
                     if monitor is not None:
                         monitor.on_retried(job_id)
                     refresh_gauges()
-                    notify(
-                        CellUpdate(STAGE_RETRIED, job_id, attempts[job_id])
-                    )
                     continue
                 result = JobResult.from_record(record)
                 results[job_id] = result
@@ -287,11 +246,6 @@ class BatchRunner:
                     )
                 self._record(result, instruments)
                 refresh_gauges()
-                notify(
-                    CellUpdate(
-                        STAGE_FINISHED, job_id, attempts[job_id], result
-                    )
-                )
             queue = retry_queue
             first_wave = False
 
@@ -525,12 +479,3 @@ class BatchRunner:
                     "to distinguish intentionally repeated cells)"
                 )
             seen.add(job_id)
-
-
-def run_batch(
-    specs: Sequence[JobSpec],
-    config: Optional[SimulatorConfig] = None,
-    **kwargs,
-) -> BatchResult:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    return BatchRunner(config=config, **kwargs).run(specs)

@@ -253,22 +253,17 @@ def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
             job["policy"], threshold=job["threshold"], migration=migration,
             spec=spec, config=config,
         )
-        controller = None
-        if job.get("dynamic_n"):
-            from repro.core.threshold import DynamicThresholdController
-
-            controller = DynamicThresholdController(config.profile)
     tape: Optional[MemoryTape] = None
     new_tape_key: Optional[str] = None
-    if tape_store is not None and memory_tape_eligible(config, controller):
+    if tape_store is not None and memory_tape_eligible(config):
         key = _twin_key(job, config)
         tape = tape_store.get(key)
         if tape is None:
             tape, new_tape_key = MemoryTape(), key
     with profiler.span(names.SPAN_CELL_SIMULATE):
         run = simulate(
-            spec, policy, migration, config, controller=controller,
-            trace_store=trace_store, profiler=profiler, memory_tape=tape,
+            spec, policy, migration, config, trace_store=trace_store,
+            profiler=profiler, memory_tape=tape,
         )
     if tape_store is not None and new_tape_key is not None:
         # Only a run that finished leaves its tape for its twins.

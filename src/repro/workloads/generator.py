@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class TraceGenerator:
         profile: ScaleProfile,
         seed: int = 2010,
         thread_id: int = 0,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
         if thread_id < 0:
             raise WorkloadError("thread_id must be non-negative")
@@ -148,11 +147,8 @@ class TraceGenerator:
         self.profile = profile
         self.thread_id = thread_id
         # All randomness flows through one explicitly-constructed
-        # generator (simlint D101 bans module-level draws); callers may
-        # inject their own, e.g. to share a SeedSequence spawn tree.
-        self.rng = (
-            rng if rng is not None else np.random.default_rng((seed, thread_id))
-        )
+        # generator (simlint D101 bans module-level draws).
+        self.rng = np.random.default_rng((seed, thread_id))
 
         mem = spec.memory
         self.user_ws = max(16, mem.user_ws_lines // profile.cache_scale)

@@ -28,17 +28,6 @@ class TestDeterminism:
         _, b = events_list(seed=5)
         assert a == b
 
-    def test_injected_generator_matches_default_construction(self):
-        import numpy as np
-
-        spec = get_workload("derby")
-        default = TraceGenerator(spec, TEST_SCALE, seed=5, thread_id=1)
-        injected = TraceGenerator(
-            spec, TEST_SCALE, seed=5, thread_id=1,
-            rng=np.random.default_rng((5, 1)),
-        )
-        assert list(default.events(60_000)) == list(injected.events(60_000))
-
     def test_different_seed_different_trace(self):
         _, a = events_list(seed=5)
         _, b = events_list(seed=6)

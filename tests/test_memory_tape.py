@@ -18,7 +18,7 @@ from array import array
 
 import pytest
 
-from repro.cache import TapeStore
+from repro.cache import TapeStore, tapestore
 from repro.core.threshold import DynamicThresholdController
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import run_job_grid
@@ -191,16 +191,11 @@ def _tape_counters(batch):
 
 
 @pytest.mark.parametrize(
-    ("overrides", "dynamic_n"),
-    [(value, False) for value in INELIGIBLE.values()] + [({}, True)],
-    ids=list(INELIGIBLE) + ["dynamic-n"],
+    "overrides", list(INELIGIBLE.values()), ids=list(INELIGIBLE)
 )
-def test_runner_never_tapes_ineligible_cells(overrides, dynamic_n, tmp_path):
+def test_runner_never_tapes_ineligible_cells(overrides, tmp_path):
     config = _config(**overrides)
-    specs = [
-        JobSpec("derby", "HI", 100, latency, dynamic_n=dynamic_n)
-        for latency in (0, 5000)
-    ]
+    specs = [JobSpec("derby", "HI", 100, latency) for latency in (0, 5000)]
     batch = run_job_grid(specs, config, cache_dir=str(tmp_path / "cache"))
     batch.raise_on_failures()
     assert _tape_counters(batch) == {"tape_hits": 0, "tape_misses": 0}
@@ -291,9 +286,10 @@ def test_failed_recording_leaves_no_tape(tmp_path, monkeypatch):
     assert _tape_counters(batch) == {"tape_hits": 0, "tape_misses": 2}
 
 
-def test_tape_store_is_a_byte_bounded_lru():
+def test_tape_store_is_a_byte_bounded_lru(monkeypatch):
     tapes = {name: _recorded_tape() for name in "abc"}
-    store = TapeStore(max_bytes=2 * tapes["a"].nbytes)
+    monkeypatch.setattr(tapestore, "DEFAULT_TAPE_BYTES", 2 * tapes["a"].nbytes)
+    store = TapeStore()
     store.put("a", tapes["a"])
     store.put("b", tapes["b"])
     assert store.get("a") is tapes["a"]

@@ -17,6 +17,7 @@ import pathlib
 import shutil
 import time
 
+import numpy as np
 import pytest
 
 from repro.cache import (
@@ -39,6 +40,7 @@ from repro.runner import JobSpec, worker
 from repro.runner.jobspec import config_to_payload
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import make_policy, simulate
+from repro.workloads.generator import priming_invocations
 from repro.workloads.presets import get_workload
 
 from tests.goldens.regen import GOLDEN_CELLS, golden_path, run_cell
@@ -114,8 +116,9 @@ def test_trace_store_reads_back_the_bytes_it_wrote(tmp_path):
     assert reader.counters["bytes_read"] == writer.counters["bytes_written"] > 0
 
 
-def test_lru_eviction_keeps_replay_correct(tmp_path):
-    store = TraceStore(_store_root(tmp_path), max_entries=1)
+def test_lru_eviction_keeps_replay_correct(tmp_path, monkeypatch):
+    monkeypatch.setattr(tracestore, "DEFAULT_LRU_ENTRIES", 1)
+    store = TraceStore(_store_root(tmp_path))
     for workload, seed in GOLDEN_CELLS[:2]:
         committed = json.loads(golden_path(workload, seed).read_text())
         assert run_cell(workload, seed, trace_store=store) == committed
@@ -177,18 +180,112 @@ def test_trap_settings_prime_from_their_own_entries(tmp_path):
 
 def test_decode_is_the_inverse_of_encode():
     spec = get_workload("apache")
-    data = _materialize_trace(
-        spec, TEST_SCALE, seed=7, thread_id=0, instruction_budget=200_000,
-        icache=False,
-    )
-    arrays, manifest = _encode(data)
-    assert _decode(manifest, arrays).events == data.events
+    for icache in (False, True):
+        recording = _materialize_trace(
+            spec, TEST_SCALE, seed=7, thread_id=0, instruction_budget=200_000,
+            icache=icache,
+        )
+        arrays, manifest = _encode(recording)
+        decoded = _decode(manifest, arrays)
+        assert (decoded.budget, decoded.icache) == (200_000, icache)
+        assert decoded.events == recording.events
+        for column in ("lines", "writes", "code"):
+            drawn, read = getattr(recording, column), getattr(decoded, column)
+            assert len(read) == len(drawn)
+            for ours, theirs in zip(read, drawn):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+        assert len(decoded.code) == (len(decoded.events) if icache else 0)
+        # A decoded recording is complete: a cursor at its end pulls
+        # nothing.
+        assert not decoded.extend()
     # An event stream that disagrees with the invocation columns is
     # rejected, as a truncated column is.
     kinds = arrays["kinds"].copy()
     kinds[kinds.nonzero()[0][0]] = 0
     with pytest.raises(ValueError, match="invocation array"):
         _decode(manifest, dict(arrays, kinds=kinds))
+    # A priming entry round-trips to its tuple of invocations, and one
+    # that does not hold its target's invocations is rejected.
+    invocations = tuple(priming_invocations(spec, TEST_SCALE, 7, 500, True))
+    arrays, manifest = _encode(invocations)
+    assert _decode(manifest, arrays) == invocations
+    with pytest.raises(ValueError, match="target"):
+        _decode(dict(manifest, priming_target=499), arrays)
+
+
+def _entry_format(root: str, kind: str):
+    """The one ``kind`` entry under ``root``: its members' names, dtypes
+    and shapes in archive order, and its manifest."""
+    (path,) = [
+        path for path in _trace_files(root, ".json")
+        if json.loads(path.read_text())["kind"] == kind
+    ]
+    with np.load(path.with_suffix(".npz")) as archive:
+        members = [
+            (name, str(archive[name].dtype), archive[name].shape)
+            for name in archive.files
+        ]
+    return members, json.loads(path.read_text())
+
+
+def _entry_columns(events: int, invocations: int, references: int):
+    return [
+        ("kinds", "uint8", (events,)),
+        ("lengths", "int64", (events,)),
+        ("data_starts", "int64", (events + 1,)),
+        ("data_lines", "int64", (references,)),
+        ("data_writes", "bool", (references,)),
+    ] + [
+        (name, "int64", (invocations,))
+        for name in (
+            "inv_vector", "inv_name", "inv_pstate", "inv_g0", "inv_g1",
+            "inv_i0", "inv_i1", "inv_pre", "inv_size",
+        )
+    ] + [
+        ("inv_shared", "float64", (invocations,)),
+        ("inv_flags", "uint8", (invocations,)),
+    ]
+
+
+def test_entry_format_is_pinned(tmp_path):
+    """Existing roots stay warm only while entries keep this layout; a
+    change to it must bump ``CACHE_SCHEMA_VERSION``."""
+    config = SimulatorConfig(profile=TEST_SCALE, seed=7, enable_icache=True)
+    spec = get_workload("apache")
+    root = _store_root(tmp_path)
+    store = TraceStore(root)
+    store.trace_source(spec, config, 0, 20_000)
+    list(store.priming_events(spec, config))
+
+    members, manifest = _entry_format(root, "trace")
+    assert members == _entry_columns(33, 16, 6306) + [
+        ("code_starts", "int64", (34,)),
+        ("code_lines", "int64", (2619,)),
+    ]
+    assert manifest == {
+        "schema": 1, "kind": "trace", "budget": 20_000, "events": 33,
+        "invocations": 16,
+        "names": [
+            "dcache_lookup", "device_interrupt", "futex", "poll", "read",
+            "window_trap", "write",
+        ],
+        "icache": True, "priming_target": 0,
+    }
+    # A priming entry keeps its empty reference columns on disk.
+    members, manifest = _entry_format(root, "prime")
+    assert members == _entry_columns(3000, 3000, 0)
+    assert manifest == {
+        "schema": 1, "kind": "prime", "budget": 0, "events": 3000,
+        "invocations": 3000,
+        "names": [
+            "accept", "brk", "close", "dcache_lookup", "device_interrupt",
+            "execve", "fcntl", "fork", "futex", "getpid", "gettimeofday",
+            "open", "poll", "read", "recv", "send", "stat", "wait4",
+            "window_trap", "write",
+        ],
+        "icache": False, "priming_target": 3000,
+    }
 
 
 # ----------------------------------------------------------------------

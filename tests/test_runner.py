@@ -22,13 +22,13 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import (
     BaselineStore,
-    BatchInterrupted,
+    BatchRunner,
     JobSpec,
+    SweepMonitor,
     config_fingerprint,
     config_from_payload,
     config_to_payload,
     derive_seed,
-    run_batch,
     shard_jobs,
 )
 from repro.sim.config import SimulatorConfig, TEST_SCALE
@@ -78,11 +78,11 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             JobSpec("derby").job_id
 
-    def test_tag_and_dynamic_n_distinguish_ids(self):
+    def test_tag_distinguishes_ids(self):
         base = JobSpec("derby").resolved(1)
         tagged = JobSpec("derby", tag="x").resolved(1)
-        dynamic = JobSpec("derby", dynamic_n=True).resolved(1)
-        assert len({base.job_id, tagged.job_id, dynamic.job_id}) == 3
+        assert base.job_id == "derby/HI/N100/L100/s1"
+        assert tagged.job_id == "derby/HI/N100/L100/s1/x"
 
     def test_tag_rejects_separator(self):
         with pytest.raises(ConfigurationError):
@@ -94,7 +94,7 @@ class TestJobSpec:
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ReproError, match="duplicate"):
-            run_batch([JobSpec("derby"), JobSpec("derby")], CONFIG)
+            BatchRunner(CONFIG).run([JobSpec("derby"), JobSpec("derby")])
 
 
 class TestConfigPayload:
@@ -133,7 +133,7 @@ class TestShardJobs:
 class TestSerialBatch:
     def test_matches_direct_simulation(self):
         spec = JobSpec("derby", "HI", 100, 0)
-        batch = run_batch([spec], CONFIG)
+        batch = BatchRunner(CONFIG).run([spec])
         result = batch.get(spec.resolved(CONFIG.seed))
         workload = get_workload("derby")
         baseline = simulate_baseline(workload, CONFIG)
@@ -148,7 +148,7 @@ class TestSerialBatch:
         assert result.metrics["baseline_throughput"] == baseline.throughput
 
     def test_batch_result_shape(self):
-        batch = run_batch(GRID, CONFIG)
+        batch = BatchRunner(CONFIG).run(GRID)
         assert len(batch) == len(GRID)
         assert not batch.failures
         summary = batch.summary()
@@ -159,8 +159,8 @@ class TestSerialBatch:
 
 class TestParallelEquivalence:
     def test_jobs2_bit_identical_to_serial(self):
-        serial = run_batch(GRID, CONFIG, jobs=1)
-        parallel = run_batch(GRID, CONFIG, jobs=2)
+        serial = BatchRunner(CONFIG, jobs=1).run(GRID)
+        parallel = BatchRunner(CONFIG, jobs=2).run(GRID)
         assert [r.job_id for r in serial] == [r.job_id for r in parallel]
         assert [r.metrics for r in serial] == [r.metrics for r in parallel]
 
@@ -168,7 +168,7 @@ class TestParallelEquivalence:
 class TestFaultTolerance:
     def test_failed_cell_is_isolated(self):
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch")]
-        batch = run_batch(specs, CONFIG)
+        batch = BatchRunner(CONFIG).run(specs)
         ok, bad = batch.results
         assert ok.ok and not bad.ok
         assert "unknown workload" in bad.error
@@ -177,25 +177,25 @@ class TestFaultTolerance:
     def test_failed_cell_is_isolated_in_parallel(self):
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch"),
                  JobSpec("derby", "HI", 10000, 0)]
-        batch = run_batch(specs, CONFIG, jobs=2)
+        batch = BatchRunner(CONFIG, jobs=2).run(specs)
         assert len(batch.failures) == 1
         assert len(batch.completed) == 2
 
     def test_raise_on_failures(self):
-        batch = run_batch([JobSpec("nosuch")], CONFIG)
+        batch = BatchRunner(CONFIG).run([JobSpec("nosuch")])
         with pytest.raises(ReproError, match="nosuch"):
             batch.raise_on_failures()
 
     def test_retries_re_execute_and_count_attempts(self):
-        batch = run_batch([JobSpec("nosuch")], CONFIG, retries=2)
+        batch = BatchRunner(CONFIG, retries=2).run([JobSpec("nosuch")])
         result = batch.results[0]
         assert not result.ok
         assert result.attempts == 3
         assert batch.retries == 2
 
     def test_timeout_records_failure(self):
-        batch = run_batch(
-            [JobSpec("derby", "HI", 100, 0)], CONFIG, timeout_s=0.005
+        batch = BatchRunner(CONFIG, timeout_s=0.005).run(
+            [JobSpec("derby", "HI", 100, 0)]
         )
         result = batch.results[0]
         assert not result.ok
@@ -209,23 +209,29 @@ class TestCheckpointResume:
         root = str(tmp_path / "cache")
         finished = []
 
-        def progress(update, done, total):
-            if update.finished:
-                finished.append(update.job_id)
-                if done >= 2:
-                    raise BatchInterrupted("stop after 2 cells")
+        class Interrupted(Exception):
+            pass
 
-        with pytest.raises(BatchInterrupted):
-            run_batch(GRID, CONFIG, cache_dir=root, progress=progress)
+        class StopAfterTwoCells(SweepMonitor):
+            def on_finished(self, job_id, ok, duration_s, profile=None):
+                super().on_finished(job_id, ok, duration_s, profile=profile)
+                finished.append(job_id)
+                if self.snapshot()["done"] >= 2:
+                    raise Interrupted
+
+        with pytest.raises(Interrupted):
+            BatchRunner(
+                CONFIG, cache_dir=root, monitor=StopAfterTwoCells()
+            ).run(GRID)
         assert len(finished) == 2
-        rerun = run_batch(GRID, CONFIG, jobs=jobs, cache_dir=root)
+        rerun = BatchRunner(CONFIG, jobs=jobs, cache_dir=root).run(GRID)
         hits = {
             result.job_id: result.cache_counters.get("result_hits", 0)
             for result in rerun
         }
         assert sum(hits.values()) == 2
         assert {job_id for job_id, hit in hits.items() if hit} == set(finished)
-        reference = run_batch(GRID, CONFIG)  # uncached, uninterrupted, serial
+        reference = BatchRunner(CONFIG).run(GRID)  # uncached, uninterrupted, serial
         assert [r.metrics for r in rerun] == [r.metrics for r in reference]
 
     def test_interrupt_resume_bit_identical_to_serial(self, tmp_path):
@@ -237,9 +243,9 @@ class TestCheckpointResume:
     def test_failed_cells_are_retried_on_resume(self, tmp_path):
         root = str(tmp_path / "cache")
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch")]
-        first = run_batch(specs, CONFIG, cache_dir=root)
+        first = BatchRunner(CONFIG, cache_dir=root).run(specs)
         assert len(first.failures) == 1
-        rerun = run_batch(specs, CONFIG, cache_dir=root)
+        rerun = BatchRunner(CONFIG, cache_dir=root).run(specs)
         ok, failed = rerun.results
         assert ok.ok and ok.cache_counters.get("result_hits") == 1
         # A failure is never stored, so the failed cell runs again.
@@ -261,8 +267,9 @@ class TestBaselinePersistence:
 
     def test_batch_persists_baselines_under_cache_root(self, tmp_path):
         root = tmp_path / "cache"
-        batch = run_batch([JobSpec("derby", "HI", 100, 0)], CONFIG,
-                          cache_dir=str(root))
+        batch = BatchRunner(CONFIG, cache_dir=str(root)).run(
+            [JobSpec("derby", "HI", 100, 0)]
+        )
         store = BaselineStore(str(root / "baselines"))
         stored = store.get("derby", CONFIG)
         assert stored == batch.results[0].metrics["baseline_throughput"]
@@ -272,13 +279,13 @@ class TestMetricsIntegration:
     def test_runner_counters(self):
         registry = MetricsRegistry()
         specs = [JobSpec("derby", "HI", 100, 0), JobSpec("nosuch")]
-        run_batch(specs, CONFIG, metrics=registry)
+        BatchRunner(CONFIG, metrics=registry).run(specs)
         assert registry.get("runner_jobs_total").value == 2
         assert registry.get("runner_jobs_completed").value == 1
         assert registry.get("runner_jobs_failed").value == 1
         assert registry.get("runner_job_seconds").count == 2
 
-        run_batch(specs, CONFIG, metrics=registry, retries=1)
+        BatchRunner(CONFIG, metrics=registry, retries=1).run(specs)
         assert registry.get("runner_jobs_total").value == 4
         assert registry.get("runner_retries_total").value == 1
         assert "runner_jobs_total" in registry.to_prometheus()
@@ -316,68 +323,68 @@ class TestExperimentGridHelper:
         assert trial_seeds(2011, "apache", 3) != seeds
 
 
+class _Transitions(SweepMonitor):
+    """Every transition the scheduler reports, with the done count then."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_started(self, job_id):
+        super().on_started(job_id)
+        self.seen.append(("started", job_id, self.snapshot()["done"]))
+
+    def on_retried(self, job_id):
+        super().on_retried(job_id)
+        self.seen.append(("retried", job_id, self.snapshot()["done"]))
+
+    def on_finished(self, job_id, ok, duration_s, profile=None):
+        super().on_finished(job_id, ok, duration_s, profile=profile)
+        self.seen.append(("finished", job_id, self.snapshot()["done"]))
+
+
 class TestProgressOrdering:
     """Satellite guarantee: started always precedes finished, and retry
     cycles surface as started -> retried -> started -> ... -> finished."""
 
     def _run(self, specs, **kwargs):
-        from repro.runner import run_batch as run
-
-        updates = []
-        run(
-            specs, CONFIG,
-            progress=lambda update, done, total: updates.append(
-                (update, done, total)
-            ),
-            **kwargs,
-        )
-        return updates
+        monitor = _Transitions()
+        batch = BatchRunner(CONFIG, monitor=monitor, **kwargs).run(specs)
+        return batch, monitor.seen
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_cell_starts_before_it_finishes(self, jobs):
-        from repro.runner import STAGE_FINISHED, STAGE_STARTED
-
-        updates = self._run(GRID, jobs=jobs)
+        _, seen = self._run(GRID, jobs=jobs)
         stages_by_cell = {}
-        for update, _, _ in updates:
-            stages_by_cell.setdefault(update.job_id, []).append(update.stage)
+        for stage, job_id, _ in seen:
+            stages_by_cell.setdefault(job_id, []).append(stage)
         assert len(stages_by_cell) == len(GRID)
         for stages in stages_by_cell.values():
-            assert stages == [STAGE_STARTED, STAGE_FINISHED]
+            assert stages == ["started", "finished"]
 
     def test_done_counts_only_finished_cells(self):
-        updates = self._run(GRID, jobs=1)
-        dones = [done for update, done, _ in updates if update.finished]
+        _, seen = self._run(GRID, jobs=1)
+        dones = [done for stage, _, done in seen if stage == "finished"]
         assert dones == list(range(1, len(GRID) + 1))
-        # A started update reports the progress so far, never ahead.
-        for update, done, total in updates:
-            assert total == len(GRID)
-            if not update.finished:
+        # A started transition sees the progress so far, never ahead.
+        for stage, _, done in seen:
+            if stage != "finished":
                 assert done < len(GRID)
 
     def test_retry_cycle_ordering_and_attempt_numbers(self):
-        from repro.runner import (
-            STAGE_FINISHED,
-            STAGE_RETRIED,
-            STAGE_STARTED,
-        )
-
-        updates = self._run([JobSpec("nosuch")], retries=2)
-        transitions = [(u.stage, u.attempt) for u, _, _ in updates]
-        assert transitions == [
-            (STAGE_STARTED, 1), (STAGE_RETRIED, 1),
-            (STAGE_STARTED, 2), (STAGE_RETRIED, 2),
-            (STAGE_STARTED, 3), (STAGE_FINISHED, 3),
+        batch, seen = self._run([JobSpec("nosuch")], retries=2)
+        assert [stage for stage, _, _ in seen] == [
+            "started", "retried", "started", "retried", "started",
+            "finished",
         ]
-        finished = updates[-1][0]
-        assert finished.result is not None and not finished.result.ok
+        (result,) = batch.results
+        assert result.attempts == 3 and not result.ok
 
     def test_started_and_retried_counters(self):
-        from repro.runner import run_batch as run
-
         registry = MetricsRegistry()
-        run([JobSpec("nosuch"), JobSpec("derby", "HI", 100, 0)], CONFIG,
-            retries=1, metrics=registry)
+        BatchRunner(CONFIG, retries=1, metrics=registry).run(
+            [JobSpec("nosuch"), JobSpec("derby", "HI", 100, 0)]
+        )
         assert registry.get("runner_cell_started_total").value == 3
         assert registry.get("runner_cell_retried_total").value == 1
         assert registry.get("runner_cells_running").value == 0

@@ -216,6 +216,9 @@ class TestLatencySweep:
     def test_serial_parallel_and_warm_cache_identical(self, tmp_path):
         cache = str(tmp_path / "cache")
         serial = self._sweep(jobs=1, cache_dir=cache)
+        # Each combination is a one-cell batch, which runs in this
+        # process: ``jobs=2`` forks no workers, and this leg reads the
+        # serial leg's results from the root.
         parallel = self._sweep(jobs=2, cache_dir=cache)
         warm = self._sweep(jobs=1, cache_dir=cache)
         assert serial.to_dict() == parallel.to_dict() == warm.to_dict()

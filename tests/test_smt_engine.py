@@ -6,10 +6,12 @@ import pytest
 
 from repro.core.policies import AlwaysOffload, HardwareInstrumentation, NeverOffload
 from repro.errors import SimulationError
+from repro.offload import engine
 from repro.offload.migration import AGGRESSIVE, CONSERVATIVE, FREE
 from repro.offload.smt import SMTOffloadEngine
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import simulate, simulate_baseline
+from repro.workloads.generator import TraceGenerator
 from repro.workloads.presets import get_workload
 
 BASE = SimulatorConfig(profile=TEST_SCALE, policy_priming_invocations=300)
@@ -22,6 +24,20 @@ class TestConstruction:
             SMTOffloadEngine(
                 get_workload("derby"), NeverOffload(), AGGRESSIVE, BASE
             )
+
+    def test_builds_each_thread_source_once(self, monkeypatch):
+        """Two user cores of two threads build four timed generators."""
+        built = []
+
+        class Counted(TraceGenerator):
+            def __init__(self, spec, profile, seed=2010, thread_id=0):
+                built.append(thread_id)
+                super().__init__(spec, profile, seed=seed, thread_id=thread_id)
+
+        monkeypatch.setattr(engine, "TraceGenerator", Counted)
+        config = dataclasses.replace(SMT, num_user_cores=2)
+        simulate(get_workload("derby"), NeverOffload(), AGGRESSIVE, config)
+        assert built == [0, 1, 2, 3]
 
     def test_simulate_routes_by_config(self):
         run = simulate(get_workload("derby"), NeverOffload(), AGGRESSIVE, SMT)

@@ -26,7 +26,7 @@ from repro.obs.spans import (
     profile_total_ns,
     render_profile,
 )
-from repro.runner import JobSpec, run_batch
+from repro.runner import BatchRunner, JobSpec
 from repro.runner.worker import execute_job
 from repro.sim.config import DEFAULT_SCALE, SimulatorConfig, TEST_SCALE
 from repro.runner.jobspec import config_to_payload
@@ -207,7 +207,6 @@ def _cell_payload(config, **job_overrides):
     job = {
         "job_id": "spanstest", "workload": "apache", "policy": "HI",
         "threshold": 1000, "latency": 1000, "seed": config.seed,
-        "dynamic_n": False,
     }
     job.update(job_overrides)
     return {"job": job, "config": config_to_payload(config),
@@ -241,10 +240,10 @@ class TestAcceptance:
             # With a cache, a serial batch replays each latency twin's
             # memory tape, while a parallel one may not: the structure
             # must not tell them apart.
-            batch = run_batch(
-                grid, config, jobs=jobs, span_profile=True,
+            batch = BatchRunner(
+                config, jobs=jobs, span_profile=True,
                 cache_dir=str(tmp_path / f"cache-{jobs}") if cached else None,
-            )
+            ).run(grid)
             if cached and jobs == 1:
                 assert sum(
                     result.cache_counters.get("tape_hits", 0)
@@ -269,5 +268,5 @@ class TestAcceptance:
 
     def test_disabled_batches_carry_no_profiles(self):
         config = SimulatorConfig(profile=TEST_SCALE)
-        batch = run_batch([JobSpec("derby", "HI", 100, 0)], config)
+        batch = BatchRunner(config).run([JobSpec("derby", "HI", 100, 0)])
         assert all(result.profile is None for result in batch)

@@ -17,12 +17,12 @@ import urllib.request
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import ObsServer
 from repro.runner import (
+    BatchRunner,
     JobSpec,
     SweepMonitor,
     TelemetryReader,
     TelemetryWriter,
     read_grid_manifest,
-    run_batch,
     write_grid_manifest,
 )
 from repro.sim.config import SimulatorConfig, TEST_SCALE
@@ -243,24 +243,26 @@ class TestLiveBatchIntegration:
         assert len(self.GRID) >= 32
         config = SimulatorConfig(profile=TEST_SCALE)
         registry = MetricsRegistry()
-        monitor = SweepMonitor()
         mid_flight = threading.Event()
         scraped = threading.Event()
         failures = []
 
-        def progress(update, done, total):
-            if update.finished and done == 8 and not mid_flight.is_set():
-                mid_flight.set()
-                # Hold the batch until the main thread has scraped, so
-                # the HTTP reads observe a genuinely running sweep.
-                if not scraped.wait(timeout=30):
-                    failures.append("scrape never happened")
+        class HeldAtTheEighthCell(SweepMonitor):
+            def on_finished(self, job_id, ok, duration_s, profile=None):
+                super().on_finished(job_id, ok, duration_s, profile=profile)
+                if self.snapshot()["done"] == 8 and not mid_flight.is_set():
+                    mid_flight.set()
+                    # Hold the batch until the main thread has scraped,
+                    # so the HTTP reads observe a genuinely running sweep.
+                    if not scraped.wait(timeout=30):
+                        failures.append("scrape never happened")
+
+        monitor = HeldAtTheEighthCell()
 
         def run():
-            run_batch(
-                self.GRID, config, span_profile=True, monitor=monitor,
-                metrics=registry, progress=progress,
-            )
+            BatchRunner(
+                config, span_profile=True, monitor=monitor, metrics=registry,
+            ).run(self.GRID)
 
         worker = threading.Thread(target=run, daemon=True)
         server = ObsServer(

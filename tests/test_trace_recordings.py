@@ -61,9 +61,9 @@ def built(monkeypatch):
     calls = []
 
     class Counted(TraceGenerator):
-        def __init__(self, spec, profile, seed=2010, thread_id=0, rng=None):
+        def __init__(self, spec, profile, seed=2010, thread_id=0):
             calls.append((spec.name, thread_id))
-            super().__init__(spec, profile, seed=seed, thread_id=thread_id, rng=rng)
+            super().__init__(spec, profile, seed=seed, thread_id=thread_id)
 
     monkeypatch.setattr(tracestore, "TraceGenerator", Counted)
     return calls
