@@ -1,9 +1,13 @@
-"""repro.cache — two-level content-addressed cache for the simulator.
+"""repro.cache — the simulator's reuse levels, in memory and on disk.
 
-Level 1 (:class:`~repro.cache.tracestore.TraceStore`) materializes
-``TraceGenerator`` streams once per ``(workload, profile, seed,
-thread)`` key and replays them bit-identically into the engines; level
-2 (:class:`~repro.cache.resultstore.ResultStore`) memoizes whole
+Level 1 (:mod:`repro.cache.tracestore`) records ``TraceGenerator``
+streams once per ``(workload, profile, seed, thread)`` key and replays
+them bit-identically into the engines, and keeps what priming teaches
+each learning policy.  Every batch worker keeps it in memory
+(``TraceRecordings``); with a cache root it is a
+:class:`~repro.cache.tracestore.TraceStore`, which also saves trace and
+priming entries on disk.  Level 2
+(:class:`~repro.cache.resultstore.ResultStore`) memoizes whole
 ``simulate()`` outcomes on the runner's config fingerprint.  Beside
 them, the in-process tape level
 (:class:`~repro.cache.tapestore.TapeStore`) keeps the memory tapes that
@@ -12,7 +16,7 @@ written to disk.  Key derivation lives in :mod:`repro.cache.keys`, root
 resolution and layout in :mod:`repro.cache.paths`, and the ``repro
 cache`` CLI's stats/gc/clear in :mod:`repro.cache.maintenance`.
 
-Caching is opt-in at the library level: everything accepts
+Caching on disk is opt-in at the library level: everything accepts
 ``trace_store=None`` / ``cache_dir=None``, and nothing is written to
 disk when unset.  The CLI defaults the parallel experiment commands
 to the shared root from :func:`~repro.cache.paths.resolve_cache_root`.

@@ -8,10 +8,10 @@ records the first twin's memory side as a
 :class:`~repro.offload.engine.MemoryTape` and keeps it here; the later
 twins replay it instead of simulating the hierarchy again.
 
-Tapes live only in process memory, in a byte-bounded LRU on the
-per-cache-root handles of :mod:`repro.runner.worker`, so a run without a
-cache root simulates every cell in full and forgetting the handles
-drops the tapes too.  Nothing is written to disk: twins that land in
+Tapes live only in process memory, in a byte-bounded LRU that every
+batch worker keeps among its handles in :mod:`repro.runner.worker`,
+with a cache root or without one; forgetting the handles drops the
+tapes too.  Nothing is written to disk: twins that land in
 different worker processes each simulate their memory side, which
 costs time and never changes a number.  The store treats tapes as
 opaque values with an ``nbytes`` size and keeps only tapes whose
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-#: In-process bytes of tapes kept per cache root.  A DEFAULT-profile
+#: In-process bytes of tapes kept per worker level.  A DEFAULT-profile
 #: tape holds about 1,300 calls in 31 KB, so this keeps hundreds: a
 #: serial fig. 4 sweep needs one per threshold of the workload in
 #: flight.  A tape grows with the scale profile's instruction budget.

@@ -270,20 +270,22 @@ def test_failed_recording_leaves_no_tape(tmp_path, monkeypatch):
     config = _config()
     specs = [JobSpec("derby", "HI", 100, latency) for latency in (0, 5000)]
     original = simulator.OffloadEngine._close_tape
-    failures = iter([True])
+    # With a cache root and without one.
+    for cache_dir in (str(tmp_path / "cache"), None):
+        failures = iter([True])
 
-    def fail_first_recording(engine):
-        if engine._record_tape is not None and next(failures, False):
-            raise SimulationError("injected failure at the end of the run")
-        original(engine)
+        def fail_first_recording(engine, failures=failures):
+            if engine._record_tape is not None and next(failures, False):
+                raise SimulationError("injected failure at the end of the run")
+            original(engine)
 
-    monkeypatch.setattr(
-        simulator.OffloadEngine, "_close_tape", fail_first_recording
-    )
-    batch = run_job_grid(specs, config, cache_dir=str(tmp_path / "cache"))
-    assert [result.ok for result in batch] == [False, True]
-    # The failed first twin kept no tape: the second recorded its own.
-    assert _tape_counters(batch) == {"tape_hits": 0, "tape_misses": 2}
+        monkeypatch.setattr(
+            simulator.OffloadEngine, "_close_tape", fail_first_recording
+        )
+        batch = run_job_grid(specs, config, cache_dir=cache_dir)
+        assert [result.ok for result in batch] == [False, True]
+        # The failed first twin kept no tape: the second recorded its own.
+        assert _tape_counters(batch) == {"tape_hits": 0, "tape_misses": 2}
 
 
 def test_tape_store_is_a_byte_bounded_lru(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for primed policy states shared through a trace store.
+"""Tests for primed policy states shared through a trace level.
 
 What priming teaches a learning policy (HI's run-length predictor, DI's
 last-seen history) depends only on the priming stream and on how the
@@ -18,6 +18,7 @@ import dataclasses
 import pytest
 
 from repro.cache import TraceStore
+from repro.cache.tracestore import TraceRecordings
 from repro.core.astate import astate_hash
 from repro.core.policies import DynamicInstrumentation, HardwareInstrumentation
 from repro.core.predictor import DIRECT_MAPPED, RunLengthPredictor
@@ -299,8 +300,8 @@ def test_store_less_runs_never_consult_a_memo(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a store-less run consulted a primed state")
 
-    monkeypatch.setattr(TraceStore, "primed_state", refuse)
-    monkeypatch.setattr(TraceStore, "keep_primed_state", refuse)
+    monkeypatch.setattr(TraceRecordings, "primed_state", refuse)
+    monkeypatch.setattr(TraceRecordings, "keep_primed_state", refuse)
     for build in POLICIES.values():
         _observed_run(_config(), build(100))
 
@@ -316,28 +317,27 @@ def test_policies_that_do_not_learn_have_no_shape(tmp_path):
 
 def test_a_priming_pass_that_raises_leaves_no_entry(tmp_path):
     config = _config()
-    store = TraceStore(str(tmp_path))
-    policy = make_policy("HI", threshold=100)
-    seen = []
-    observe = policy.observe
+    live = _observed_run(config, make_policy("HI", threshold=100))
+    # A cache root's store and the level a worker keeps without one.
+    for store in (TraceStore(str(tmp_path)), TraceRecordings()):
+        policy = make_policy("HI", threshold=100)
+        seen = []
+        observe = policy.observe
 
-    def fail_midway(invocation, decision):
-        seen.append(invocation)
-        if len(seen) == 100:
-            raise RuntimeError("priming interrupted")
-        observe(invocation, decision)
+        def fail_midway(invocation, decision, seen=seen, observe=observe):
+            seen.append(invocation)
+            if len(seen) == 100:
+                raise RuntimeError("priming interrupted")
+            observe(invocation, decision)
 
-    policy.observe = fail_midway
-    with pytest.raises(RuntimeError, match="priming interrupted"):
-        _observed_run(config, policy, store)
-    assert store._primed == {}
-    assert store.counters["primed_misses"] == 1
-    retried = _observed_run(config, make_policy("HI", threshold=100), store)
-    _assert_same_run(
-        retried, _observed_run(config, make_policy("HI", threshold=100)),
-        "retry after a failed priming pass",
-    )
-    assert store.counters["primed_misses"] == 2 and len(store._primed) == 1
+        policy.observe = fail_midway
+        with pytest.raises(RuntimeError, match="priming interrupted"):
+            _observed_run(config, policy, store)
+        assert store._primed == {}
+        assert store.counters["primed_misses"] == 1
+        retried = _observed_run(config, make_policy("HI", threshold=100), store)
+        _assert_same_run(retried, live, "retry after a failed priming pass")
+        assert store.counters["primed_misses"] == 2 and len(store._primed) == 1
 
 
 # ----------------------------------------------------------------------
@@ -360,22 +360,21 @@ def test_sweep_primes_once_per_store_and_exports_the_counts(tmp_path):
         for latency in (0, 1000)
         for threshold in (100, 1000)
     ]
-    registry = MetricsRegistry()
-    cached = run_job_grid(
-        specs, config, cache_dir=str(tmp_path), metrics=registry
-    )
-    assert _primed_counters(cached) == {"primed_hits": 3, "primed_misses": 1}
-    prometheus = registry.to_prometheus()
-    assert "repro_cache_primed_hits_total 3" in prometheus
-    assert "repro_cache_primed_misses_total 1" in prometheus
-    worker._BASELINE_MEMO.clear()
-    worker._STORES.clear()
-    registry = MetricsRegistry()
-    plain = run_job_grid(specs, config, metrics=registry)
-    assert _primed_counters(plain) == {"primed_hits": 0, "primed_misses": 0}
-    prometheus = registry.to_prometheus()
-    assert "repro_cache_primed_hits_total 0" in prometheus
-    assert "repro_cache_primed_misses_total 0" in prometheus
-    assert {r.job_id: r.metrics for r in cached} == {
-        r.job_id: r.metrics for r in plain
+    runs = {}
+    # With a cache root and without one, the worker's level primes once.
+    for label, cache_dir in (("cached", str(tmp_path)), ("plain", None)):
+        worker._BASELINE_MEMO.clear()
+        worker._STORES.clear()
+        registry = MetricsRegistry()
+        runs[label] = run_job_grid(
+            specs, config, cache_dir=cache_dir, metrics=registry
+        )
+        assert _primed_counters(runs[label]) == {
+            "primed_hits": 3, "primed_misses": 1,
+        }, label
+        prometheus = registry.to_prometheus()
+        assert "repro_cache_primed_hits_total 3" in prometheus
+        assert "repro_cache_primed_misses_total 1" in prometheus
+    assert {r.job_id: r.metrics for r in runs["cached"]} == {
+        r.job_id: r.metrics for r in runs["plain"]
     }

@@ -1,11 +1,13 @@
-"""Tests for the trace recordings a batch worker keeps without a cache root.
+"""Tests for the in-memory trace level every batch worker keeps.
 
-A cache-less worker records each thread's stream the first time a run
-draws it and replays the recording in every later run of the process
-(:class:`repro.cache.tracestore.TraceRecordings`).  The load-bearing
-property is the same as the trace store's: a run that records and a
-run that replays are both indistinguishable from a store-less run, so
-the committed goldens must come out byte for byte either way.
+A worker records each thread's stream the first time a run draws it
+and replays the recording in every later run of the process
+(:class:`repro.cache.tracestore.TraceRecordings`; a cache root's
+:class:`~repro.cache.TraceStore` is the same level backed by disk).
+The load-bearing property is the same as the trace store's: a run that
+records and a run that replays are both indistinguishable from a
+store-less run, so the committed goldens must come out byte for byte
+either way.
 """
 
 from __future__ import annotations
@@ -127,8 +129,16 @@ def test_icache_runs_record_and_replay_the_live_stream(built):
 
 
 # ----------------------------------------------------------------------
-# the runner's cache-less level
+# the runner's level without a cache root
 # ----------------------------------------------------------------------
+
+
+def _counter_totals(batch):
+    totals = {}
+    for result in batch:
+        for name, delta in result.cache_counters.items():
+            totals[name] = totals.get(name, 0) + delta
+    return totals
 
 
 def test_cacheless_grid_records_each_trace_once_per_process(built):
@@ -143,7 +153,12 @@ def test_cacheless_grid_records_each_trace_once_per_process(built):
     first = run_job_grid(specs, config, jobs=1)
     first.raise_on_failures()
     assert sorted(built) == expected
-    assert all(not result.cache_counters for result in first)
+    # Each workload's baseline records its two threads; its four cells
+    # replay them and prime once.  Two user cores take no tapes.
+    assert _counter_totals(first) == {
+        "trace_misses": 4, "trace_hits": 16,
+        "primed_misses": 2, "primed_hits": 6,
+    }
     worker._STORES.clear()
     second = run_job_grid(specs, config, jobs=1)
     assert sorted(built) == sorted(expected * 2)
@@ -215,13 +230,13 @@ def test_the_level_never_holds_more_than_its_bound():
     cursors = {}
     for thread in range(threads):
         cursors[thread] = level.trace_source(spec, config, thread, 1000)
-        assert len(level._recordings) == min(thread + 1, DEFAULT_LRU_ENTRIES)
+        assert len(level._lru) == min(thread + 1, DEFAULT_LRU_ENTRIES)
     # The level holds threads 2..9.  Reading 2 again leaves 3 the least
     # recently used, so starting thread 0 drops 3 and keeps 2.
     again = level.trace_source(spec, config, 2, 1000)
     assert again._data is cursors[2]._data
     level.trace_source(spec, config, 0, 1000)
-    assert len(level._recordings) == DEFAULT_LRU_ENTRIES
+    assert len(level._lru) == DEFAULT_LRU_ENTRIES
     assert level.trace_source(spec, config, 2, 1000)._data is cursors[2]._data
     assert level.trace_source(spec, config, 3, 1000)._data is not cursors[3]._data
 
@@ -234,7 +249,7 @@ def test_a_recording_past_its_byte_bound_is_dropped_as_it_is_read(
     reference = _stats(config)
     level = TraceRecordings()
     assert _stats(config, level) == reference
-    (recording,) = level._recordings.values()
+    (recording,) = level._lru.values()
     assert not recording.kept
     assert recording.nbytes > 20_000
     assert len(recording.events) == len(recording.lines) == 1
