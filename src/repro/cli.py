@@ -298,12 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--sarif", metavar="FILE",
                       help="additionally write findings as SARIF 2.1.0 "
                            "to FILE")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="filter findings through a checked-in "
-                           "baseline file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline FILE from the current "
-                           "findings and exit 0")
     lint.add_argument("--list-rules", action="store_true",
                       help="list registered rules and exit")
     return parser
@@ -933,7 +927,6 @@ def _cmd_lint(args, config: SimulatorConfig) -> int:
 
     import repro
     from repro.lint import registered_rules, render_json, render_text, run_lint
-    from repro.lint.baseline import apply_baseline, load_baseline, render_baseline
     from repro.lint.sarif import render_sarif
 
     if args.list_rules:
@@ -944,9 +937,6 @@ def _cmd_lint(args, config: SimulatorConfig) -> int:
             print(f"{rule.id:<6} {rule.family:<18} {rule.severity:<8} "
                   f"{flow:<4} {rule.summary}")
         return 0
-    if args.update_baseline and not args.baseline:
-        print("--update-baseline requires --baseline FILE")
-        return 2
     rule_ids = [rule.id for rule in registered_rules()]
     for entry in args.select or ():
         for token in entry.split(","):
@@ -966,20 +956,6 @@ def _cmd_lint(args, config: SimulatorConfig) -> int:
     violations = run_lint(
         paths, root=root, select=args.select, dataflow=args.dataflow
     )
-    if args.update_baseline:
-        baseline_path = pathlib.Path(args.baseline)
-        baseline_path.write_text(
-            render_baseline(violations), encoding="utf-8"
-        )
-        print(f"wrote {len(violations)} entr"
-              f"{'y' if len(violations) == 1 else 'ies'} to {baseline_path}")
-        return 0
-    if args.baseline:
-        entries = load_baseline(pathlib.Path(args.baseline))
-        violations, grandfathered, stale = apply_baseline(violations, entries)
-        for entry in stale:
-            print(f"stale baseline entry (matched nothing, delete it): "
-                  f"{entry.rule} {entry.path}")
     if args.sarif:
         pathlib.Path(args.sarif).write_text(
             render_sarif(violations) + "\n", encoding="utf-8"

@@ -28,9 +28,9 @@ Each finding names the worker entry point and the call path that
 reaches the offending function, so the report reads as a proof
 obligation: *this* mutation is reachable from *this* submitted
 callable.  Value-transparent per-process memo caches (keyed by full
-fingerprints) are the one legitimate exception; they are grandfathered
-explicitly with a justified ``# simlint: ignore[W70x]`` pragma or a
-baseline entry — the point is that every one is visible and reviewed.
+fingerprints) are the one legitimate exception; they are suppressed
+explicitly with a justified ``# simlint: ignore[W70x]`` pragma at the
+line — the point is that every one is visible and reviewed.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """simlint v2 flow rules: interprocedural true/false positives,
 flow traces, suppression across multi-file flows, family selection,
-baselines, and the meta-invariant that the real tree is flow-clean.
+and the meta-invariant that the real tree is flow-clean.
 
 The fixture trees under ``tests/lint_fixtures/flows/`` are miniature
 packages: ``bad/`` routes a nondeterministic source through helper
@@ -17,12 +17,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.lint import registered_rules, run_lint
-from repro.lint.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
 
 FLOWS = Path(__file__).parent / "lint_fixtures" / "flows"
 BAD = FLOWS / "bad"
@@ -224,57 +218,6 @@ def test_pragma_at_intermediate_hop_suppresses_flow(tmp_path):
     )
     violations = run_lint([tree], root=tree, dataflow=True, select=["N501"])
     assert violations == []
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-
-def test_baseline_roundtrip(tmp_path):
-    violations = _findings(BAD, select=["W"])
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(render_baseline(violations))
-    entries = load_baseline(baseline)
-    assert len(entries) == len(violations)
-    assert all(entry.justification for entry in entries)
-    kept, grandfathered, stale = apply_baseline(violations, entries)
-    assert kept == []
-    assert len(grandfathered) == len(violations)
-    assert stale == []
-
-
-def test_baseline_partial_and_stale():
-    violations = _findings(BAD, select=["W"])
-    entries = [
-        BaselineEntry(rule="W701", path="workers/pool.py"),
-        BaselineEntry(rule="W999", path="nowhere.py",
-                      justification="stale"),
-    ]
-    kept, grandfathered, stale = apply_baseline(violations, entries)
-    assert {v.rule for v in grandfathered} == {"W701"}
-    assert {v.rule for v in kept} == {"W702", "W703"}
-    assert stale == [entries[1]]
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert cli_main([
-        "lint", "--dataflow", "--select", "N,W",
-        "--baseline", str(baseline), "--update-baseline", str(BAD),
-    ]) == 0
-    capsys.readouterr()
-    assert cli_main([
-        "lint", "--dataflow", "--select", "N,W",
-        "--baseline", str(baseline), str(BAD),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "no violations" in out
-
-
-def test_repo_baseline_is_empty():
-    repo_baseline = Path(__file__).parent.parent / "lint-baseline.json"
-    assert json.loads(repo_baseline.read_text()) == {"entries": []}
 
 
 # ----------------------------------------------------------------------
