@@ -17,13 +17,19 @@ Methodology notes:
   taken back to back: one pair of timings of a 16-cell grid read
   1.28-2.36x and failed the floor in 9 of 20 runs from host noise
   alone;
-- no timing includes a baseline run or trace generation: the warm-up
-  ``run(1)`` leaves derby's baseline in the parent's per-process memo
-  (``repro.runner.worker._BASELINE_MEMO``) and derby's trace in its
-  cache-less recordings (``repro.runner.worker._STORES``), and the
-  pool workers, forked after it, inherit both, so every timed cell
-  replays the recording (with a start method that does not fork, each
+- no timing includes a baseline run, trace generation or priming: the
+  warm-up ``run(1)`` leaves derby's baseline in the parent's
+  per-process memo (``repro.runner.worker._BASELINE_MEMO``), and
+  derby's trace recordings and primed HI state in its reuse level
+  (``repro.runner.worker._STORES``), and the pool workers, forked after
+  it, inherit all three, so every timed cell replays the recordings and
+  loads the primed state (with a start method that does not fork, each
   worker would pay once for each);
+- every timed cell simulates its memory side: the grid runs two user
+  cores, which :func:`~repro.offload.engine.memory_tape_eligible`
+  rejects, so no cell records or replays a latency twin's memory tape
+  (the warm-up would otherwise leave a tape for every timed cell, and
+  the timed grids would measure little but replays);
 - the serial and parallel batches are also compared cell-by-cell — the
   speedup must not come at the cost of the bit-identical guarantee;
 - on a single-core machine (or a CPU set restricted to one core) the
@@ -33,6 +39,7 @@ Methodology notes:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import statistics
 import time
@@ -48,7 +55,8 @@ MIN_SPEEDUP = 1.5
 ROUNDS = 3
 
 #: workload x threshold x latency grid: 48 cells on one workload, so a
-#: single shared baseline and one recorded trace cover every cell.
+#: single shared baseline, one trace per user core and one primed state
+#: cover every cell.
 GRID = [
     JobSpec("derby", "HI", threshold, latency)
     for threshold in (0, 100, 250, 500, 1000, 2500)
@@ -67,15 +75,22 @@ def test_two_workers_speed_up_a_sweep(config):
     if _usable_cpus() < 2:
         pytest.skip("parallel speedup needs at least two usable CPUs")
 
+    # Two user cores: no cell may take a memory tape.
+    untaped = dataclasses.replace(config, num_user_cores=2)
+
     def run(jobs: int):
-        runner = BatchRunner(config=config, jobs=jobs)
+        runner = BatchRunner(config=untaped, jobs=jobs)
         start = time.perf_counter()
         batch = runner.run(GRID)
         elapsed = time.perf_counter() - start
         batch.raise_on_failures()
+        for result in batch:
+            assert not {"tape_hits", "tape_misses"} & set(
+                result.cache_counters
+            ), f"{result.job_id} took a memory tape"
         return batch, elapsed
 
-    run(1)  # warm the baseline memo, the recording and the allocator
+    run(1)  # warm the baseline memo, the level and the allocator
     serial_s, parallel_s = [], []
     for _ in range(ROUNDS):
         serial_batch, elapsed = run(1)
@@ -90,7 +105,8 @@ def test_two_workers_speed_up_a_sweep(config):
     )
 
     print()
-    print(f"grid: {len(GRID)} cells, profile {config.profile.name}")
+    print(f"grid: {len(GRID)} cells on {untaped.num_user_cores} user cores, "
+          f"profile {config.profile.name}")
     print("serial: " + " ".join(f"{s:.2f}" for s in serial_s)
           + "s  2 workers: " + " ".join(f"{s:.2f}" for s in parallel_s)
           + f"s  median speedup: {speedup:.2f}x")
