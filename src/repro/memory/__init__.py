@@ -1,14 +1,15 @@
-"""Memory substrate: caches, MESI directory, DRAM."""
+"""Memory substrate: caches, DRAM, and the MESI hierarchy over them.
+
+The hierarchy's full-map directory keeps no state: it reads the L2s.
+"""
 
 from repro.memory.cache import Cache, EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import CoherenceNode, MemoryHierarchy
-from repro.memory.mesi import Directory
 
 __all__ = [
     "Cache",
     "CoherenceNode",
-    "Directory",
     "EXCLUSIVE",
     "INVALID",
     "MODIFIED",
