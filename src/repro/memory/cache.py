@@ -225,9 +225,3 @@ class Cache:
             assert move.__self__ is expected[key], (
                 f"fast map key {key} bound to the wrong set"
             )
-
-    def flush(self) -> None:
-        """Drop all contents (used between warm-up phases in tests)."""
-        for cache_set in self.sets:
-            cache_set.clear()
-        self._fast.clear()

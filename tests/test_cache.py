@@ -86,13 +86,6 @@ class TestInvalidateAndState:
         cache.set_state(9, MODIFIED)
         assert cache.peek(9) == MODIFIED
 
-    def test_flush_empties(self):
-        cache = make_cache()
-        for line in range(6):
-            cache.fill(line, SHARED)
-        cache.flush()
-        assert cache.occupancy() == 0
-
     def test_resident_lines_enumerates_all(self):
         cache = make_cache()
         cache.fill(1, SHARED)
